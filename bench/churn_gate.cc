@@ -19,9 +19,16 @@
 //      *unrestricted* churn that dirties walked vertices and forces
 //      partial/full re-walks — must match a plain uncached Predictor on
 //      the same mutated graphs byte for byte.
+//   4. Counted work: full-graph fingerprint scans per churn round. Each
+//      version arrives with its fingerprint stamped by compaction, so a
+//      round scans only the one new sample's subgraph; the inline
+//      (threads=0) leg fails above that. Threaded legs report the count
+//      unchecked: concurrent first callers of the sample's fingerprint
+//      memo may each hash it once.
 //
 // Results mirror to BENCH_churn_gate.json (bench_json.h).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -41,6 +48,7 @@ using namespace predict;
 constexpr int kChurnRounds = 3;
 constexpr double kChurnFraction = 0.01;
 constexpr double kMaxWarmFraction = 0.10;
+constexpr uint64_t kMaxInlineScansPerRound = 1;
 
 const std::vector<const char*> kAlgorithms = {
     "pagerank",     "connected_components", "topk_ranking",
@@ -156,6 +164,8 @@ struct ThreadResult {
   bool identical = true;
   uint64_t incremental_updates = 0;
   uint64_t segments_reused = 0;
+  /// Most full-graph fingerprint scans any churn round's batch ran.
+  uint64_t max_scans_per_round = 0;
   bool ok = false;
 };
 
@@ -200,9 +210,13 @@ ThreadResult RunForThreads(int num_threads, const Graph& base,
     if (!current.ok()) return result;
     last_version = **current;
     const std::vector<PredictionRequest> requests = MakeRequests(last_version);
+    const uint64_t scans = Graph::FingerprintComputationsForTest();
     const auto start = std::chrono::steady_clock::now();
     last_reports = service.PredictBatch(requests);
     const double elapsed = SecondsSince(start);
+    result.max_scans_per_round =
+        std::max(result.max_scans_per_round,
+                 Graph::FingerprintComputationsForTest() - scans);
     for (const auto& r : last_reports) {
       if (!r.ok()) {
         std::fprintf(stderr, "warm re-predict failed: %s\n",
@@ -291,16 +305,20 @@ int main() {
     const ThreadResult r = RunForThreads(threads, base, avoid);
     const bool ratio_ok = r.ratio <= kMaxWarmFraction;
     const bool incremental_ran = r.incremental_updates > 0;
+    const bool scans_ok =
+        threads != 0 || r.max_scans_per_round <= kMaxInlineScansPerRound;
     const bool pass =
-        r.ok && ratio_ok && r.identical && incremental_ran;
+        r.ok && ratio_ok && r.identical && incremental_ran && scans_ok;
     all_ok = all_ok && pass;
     std::printf(
         "threads=%d: cold %.1f ms, warm re-predict %.2f ms (%.1f%% of "
         "cold), %llu incremental updates, %llu segments reused, "
-        "identity %s [%s]\n",
+        "max %llu fingerprint scans/round%s, identity %s [%s]\n",
         threads, 1e3 * r.cold_seconds, 1e3 * r.warm_seconds, 100.0 * r.ratio,
         static_cast<unsigned long long>(r.incremental_updates),
         static_cast<unsigned long long>(r.segments_reused),
+        static_cast<unsigned long long>(r.max_scans_per_round),
+        threads == 0 ? (scans_ok ? " (<=1: OK)" : " (<=1: FAIL)") : "",
         r.identical ? "OK" : "MISMATCH", pass ? "OK" : "FAIL");
     const std::string prefix = "threads_" + std::to_string(threads) + "_";
     json.Add(prefix + "cold_seconds", r.cold_seconds);
@@ -308,6 +326,8 @@ int main() {
     json.Add(prefix + "warm_fraction", r.ratio);
     json.Add(prefix + "incremental_updates", r.incremental_updates);
     json.Add(prefix + "segments_reused", r.segments_reused);
+    json.Add(prefix + "fingerprint_scans_per_round_max",
+             r.max_scans_per_round);
     json.Add(prefix + "identity_ok", r.identical);
     json.Add(prefix + "ok", pass);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -23,6 +24,89 @@ inline bool CanonicalLess(const std::pair<VertexId, float>& a,
                           const std::pair<VertexId, float>& b) {
   if (a.first != b.first) return a.first < b.first;
   return WeightBits(a.second) < WeightBits(b.second);
+}
+
+// Whether two out-rows carry the same weight bits; an empty span stands
+// for an unweighted graph's row (every weight 1.0).
+bool SameRowWeights(std::span<const float> a, std::span<const float> b) {
+  if (a.empty() && b.empty()) return true;
+  if (!a.empty() && !b.empty()) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  }
+  const std::span<const float> weighted = a.empty() ? b : a;
+  return std::all_of(weighted.begin(), weighted.end(), [](float w) {
+    return WeightBits(w) == WeightBits(1.0f);
+  });
+}
+
+uint64_t CountNonUnitWeights(std::span<const float> weights) {
+  return static_cast<uint64_t>(std::count_if(
+      weights.begin(), weights.end(), [](float w) { return w != 1.0f; }));
+}
+
+// Apply's auto-compaction trigger: `fraction` of the base edge count,
+// floored so tiny graphs still batch. A negative or NaN fraction counts
+// as 0 and a product past the uint64_t range saturates, so the
+// conversion is always defined.
+uint64_t CompactionThreshold(double fraction, uint64_t base_edges) {
+  const double scaled = fraction * static_cast<double>(base_edges);
+  uint64_t limit = 0;
+  if (scaled >= 18446744073709551616.0) {  // 2^64
+    limit = UINT64_MAX;
+  } else if (scaled > 0.0) {
+    limit = static_cast<uint64_t>(scaled);
+  }
+  return std::max<uint64_t>(64, limit);
+}
+
+// A fresh CSR offset array: the base's offsets, shifted past each
+// replaced row by that row's degree change. `rows` ascending; row i's
+// replacement holds row_offsets[i+1] - row_offsets[i] entries.
+std::vector<uint64_t> SpliceOffsets(std::span<const uint64_t> base,
+                                    const std::vector<VertexId>& rows,
+                                    const std::vector<uint64_t>& row_offsets) {
+  std::vector<uint64_t> out(base.size());
+  uint64_t shift = 0;  // modular: a shrinking row wraps, the sum is exact
+  uint64_t v = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (; v <= rows[i]; ++v) out[v] = base[v] + shift;
+    shift += (row_offsets[i + 1] - row_offsets[i]) -
+             (base[rows[i] + 1] - base[rows[i]]);
+  }
+  for (; v < base.size(); ++v) out[v] = base[v] + shift;
+  return out;
+}
+
+// A fresh CSR value array of `total` entries: the base's clean row
+// ranges bulk-copied (or, for an empty `base`, filled with `fill`), with
+// each replaced row's values spliced in place of its old ones.
+template <typename T>
+std::vector<T> SpliceValues(std::span<const uint64_t> base_offsets,
+                            std::span<const T> base, T fill,
+                            const std::vector<VertexId>& rows,
+                            const std::vector<uint64_t>& row_offsets,
+                            const std::vector<T>& row_values,
+                            uint64_t total) {
+  std::vector<T> out;
+  out.reserve(total);
+  uint64_t next = 0;  // first base slot not yet emitted
+  const auto copy_clean = [&](uint64_t end) {
+    if (base.empty()) {
+      out.insert(out.end(), end - next, fill);
+    } else {
+      out.insert(out.end(), base.begin() + next, base.begin() + end);
+    }
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    copy_clean(base_offsets[rows[i]]);
+    out.insert(out.end(), row_values.begin() + row_offsets[i],
+               row_values.begin() + row_offsets[i + 1]);
+    next = base_offsets[rows[i] + 1];
+  }
+  copy_clean(base_offsets.back());
+  assert(out.size() == total);
+  return out;
 }
 
 Status OffendingEdge(const char* what, VertexId src, VertexId dst) {
@@ -95,8 +179,11 @@ Graph EvolvingGraph::Canonicalize(Graph g) {
 }
 
 EvolvingGraph::EvolvingGraph(Graph base)
-    : base_(Canonicalize(std::move(base))) {
-  version_fp_ = base_.EdgeSetHash();
+    : base_(Canonicalize(std::move(base))),
+      base_fingerprint_sum_(base_.FingerprintSum()),
+      base_non_unit_weights_(CountNonUnitWeights(base_.out_weights())),
+      version_fp_(base_.EdgeSetHash()) {
+  base_.StampVersion(base_fingerprint_sum_, nullptr);
 }
 
 uint64_t EvolvingGraph::SurvivingBaseCount(VertexId v, VertexId dst) const {
@@ -223,36 +310,142 @@ Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
     if (vd.adds.empty() && vd.removes.empty()) overlay_.erase(delta.src);
   }
 
-  const uint64_t threshold = std::max<uint64_t>(
-      64, static_cast<uint64_t>(compaction_threshold_ *
-                                static_cast<double>(base_.num_edges())));
-  if (overlay_entries_ > threshold) return Compact();
+  if (overlay_entries_ >
+      CompactionThreshold(compaction_threshold_, base_.num_edges())) {
+    return Compact();
+  }
   return Status::OK();
 }
 
 Status EvolvingGraph::Compact() {
   if (!dirty()) return Status::OK();
-  const uint64_t v_count = num_vertices();
 
-  // Build the fresh CSR entirely off to the side; the members are not
-  // touched until the very end (strong exception safety — a fault below
-  // leaves the current version fully intact).
-  std::vector<uint64_t> out_offsets(v_count + 1, 0);
-  for (uint64_t v = 0; v < v_count; ++v) {
-    out_offsets[v + 1] =
-        out_offsets[v] + out_degree(static_cast<VertexId>(v));
-  }
-  const uint64_t e_count = out_offsets[v_count];
-  std::vector<VertexId> out_targets(e_count);
-  std::vector<float> out_weights(e_count, 1.0f);
-  for (uint64_t v = 0; v < v_count; ++v) {
-    uint64_t slot = out_offsets[v];
-    ForEachOutEdge(static_cast<VertexId>(v), [&](VertexId dst, float w) {
-      out_targets[slot] = dst;
-      out_weights[slot] = w;
-      ++slot;
+  // Everything below builds the fresh CSR off to the side; the members
+  // are not touched until the very end (strong exception safety — a
+  // fault leaves the current version fully intact).
+  //
+  // 1. Merge the overlay's rows in ascending order, keeping the ones
+  // whose content changed (a delete re-inserted at its old weight nets
+  // out): the version's dirty set.
+  std::vector<VertexId> overlay_rows;
+  overlay_rows.reserve(overlay_.size());
+  for (const auto& entry : overlay_) overlay_rows.push_back(entry.first);
+  std::sort(overlay_rows.begin(), overlay_rows.end());
+  std::vector<VertexId> dirty;
+  std::vector<uint64_t> row_offsets{0};
+  std::vector<VertexId> row_targets;
+  std::vector<float> row_weights;
+  uint64_t non_unit_weights = base_non_unit_weights_;
+  for (const VertexId v : overlay_rows) {
+    const size_t begin = row_targets.size();
+    ForEachOutEdge(v, [&](VertexId dst, float w) {
+      row_targets.push_back(dst);
+      row_weights.push_back(w);
     });
-    assert(slot == out_offsets[v + 1]);
+    const std::span<const VertexId> old_targets = base_.out_neighbors(v);
+    const std::span<const float> old_weights =
+        base_.is_weighted() ? base_.out_weights(v) : std::span<const float>{};
+    const std::span<const VertexId> new_targets(row_targets.data() + begin,
+                                                row_targets.size() - begin);
+    const std::span<const float> new_weights(row_weights.data() + begin,
+                                             row_weights.size() - begin);
+    if (std::equal(old_targets.begin(), old_targets.end(),
+                   new_targets.begin(), new_targets.end()) &&
+        SameRowWeights(old_weights, new_weights)) {
+      row_targets.resize(begin);
+      row_weights.resize(begin);
+      continue;
+    }
+    dirty.push_back(v);
+    row_offsets.push_back(row_targets.size());
+    non_unit_weights += CountNonUnitWeights(new_weights);
+    non_unit_weights -= CountNonUnitWeights(old_weights);
+  }
+
+  // 2. The in-rows those out-rows touch: per (target, source), the
+  // change in multiplicity, from a merge of the sorted old and new rows.
+  struct InChange {
+    VertexId target;
+    VertexId source;
+    int64_t delta;
+  };
+  std::vector<InChange> changes;
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    const std::span<const VertexId> a = base_.out_neighbors(dirty[i]);
+    const std::span<const VertexId> b(row_targets.data() + row_offsets[i],
+                                      row_offsets[i + 1] - row_offsets[i]);
+    size_t ai = 0;
+    size_t bi = 0;
+    while (ai < a.size() || bi < b.size()) {
+      const VertexId t = bi == b.size() || (ai < a.size() && a[ai] < b[bi])
+                             ? a[ai]
+                             : b[bi];
+      int64_t delta = 0;
+      for (; ai < a.size() && a[ai] == t; ++ai) --delta;
+      for (; bi < b.size() && b[bi] == t; ++bi) ++delta;
+      if (delta != 0) changes.push_back({t, dirty[i], delta});
+    }
+  }
+  std::sort(changes.begin(), changes.end(),
+            [](const InChange& x, const InChange& y) {
+              return x.target != y.target ? x.target < y.target
+                                          : x.source < y.source;
+            });
+  // Rebuild each touched in-row as a sorted source multiset — the order
+  // the canonical in-CSR keeps (sources ascending, as a counting sort
+  // over out-rows in vertex order emits them).
+  std::vector<VertexId> in_rows;
+  std::vector<uint64_t> in_row_offsets{0};
+  std::vector<VertexId> in_row_sources;
+  for (size_t c = 0; c < changes.size();) {
+    const VertexId t = changes[c].target;
+    const std::span<const VertexId> old_sources = base_.in_neighbors(t);
+    size_t k = 0;
+    while (k < old_sources.size() ||
+           (c < changes.size() && changes[c].target == t)) {
+      const bool change_next =
+          c < changes.size() && changes[c].target == t &&
+          (k == old_sources.size() || changes[c].source <= old_sources[k]);
+      const VertexId s = change_next ? changes[c].source : old_sources[k];
+      int64_t count = 0;
+      for (; k < old_sources.size() && old_sources[k] == s; ++k) ++count;
+      if (change_next) count += changes[c++].delta;
+      assert(count >= 0);
+      in_row_sources.insert(in_row_sources.end(), static_cast<size_t>(count),
+                            s);
+    }
+    in_rows.push_back(t);
+    in_row_offsets.push_back(in_row_sources.size());
+  }
+
+  // 3. Splice: bulk-copy the clean row ranges of the base arrays around
+  // the replaced rows, then derive the fingerprint from the base's by
+  // swapping only the dirty rows' terms.
+  std::optional<Graph> fresh;
+  uint64_t fingerprint_sum = base_fingerprint_sum_;
+  if (!dirty.empty()) {
+    const uint64_t e_count = num_edges();
+    std::vector<float> out_weights;
+    if (non_unit_weights != 0) {
+      out_weights = SpliceValues(base_.out_offsets(), base_.out_weights(),
+                                 1.0f, dirty, row_offsets, row_weights,
+                                 e_count);
+    }
+    fresh = Graph::FromCsr(
+        SpliceOffsets(base_.out_offsets(), dirty, row_offsets),
+        SpliceValues(base_.out_offsets(), base_.out_targets(), VertexId{0},
+                     dirty, row_offsets, row_targets, e_count),
+        std::move(out_weights),
+        SpliceOffsets(base_.in_offsets(), in_rows, in_row_offsets),
+        SpliceValues(base_.in_offsets(), base_.in_sources(), VertexId{0},
+                     in_rows, in_row_offsets, in_row_sources, e_count));
+    for (const VertexId v : dirty) {
+      fingerprint_sum += fresh->OutRowHash(v) - base_.OutRowHash(v);
+    }
+    assert(fresh->EdgeSetHash() == VersionFingerprint());
+    fresh->StampVersion(fingerprint_sum,
+                        std::make_shared<const GraphLineage>(GraphLineage{
+                            base_.Fingerprint(), std::move(dirty)}));
   }
 
   // The fault point sits between building and installing: an injected
@@ -265,11 +458,13 @@ Status EvolvingGraph::Compact() {
     if (!faulted.ok()) return StatusAnnotate(faulted, "graph_compact");
   }
 
-  Graph fresh = GraphFromCanonicalRows(v_count, std::move(out_offsets),
-                                       std::move(out_targets),
-                                       std::move(out_weights));
-  assert(fresh.EdgeSetHash() == VersionFingerprint());
-  base_ = std::move(fresh);
+  // An overlay that nets out to no row change keeps the base (and its
+  // lineage) as the current version.
+  if (fresh.has_value()) {
+    base_ = std::move(*fresh);
+    base_fingerprint_sum_ = fingerprint_sum;
+    base_non_unit_weights_ = non_unit_weights;
+  }
   overlay_.clear();
   overlay_entries_ = 0;
   edge_count_delta_ = 0;
@@ -368,21 +563,13 @@ std::vector<VertexId> DirtyOutVertices(const Graph& before,
     const VertexId id = static_cast<VertexId>(v);
     const auto tb = before.OutNeighborsInto(id, &scratch_b);
     const auto ta = after.OutNeighborsInto(id, &scratch_a);
-    bool differs = tb.size() != ta.size() ||
-                   std::memcmp(tb.data(), ta.data(),
-                               tb.size() * sizeof(VertexId)) != 0;
-    if (!differs && (before.is_weighted() || after.is_weighted())) {
-      if (before.is_weighted() != after.is_weighted()) {
-        // A weightedness flip changes every non-empty row (all-1.0
-        // weights vs explicit ones); empty rows cannot differ.
-        differs = !tb.empty();
-      } else {
-        const auto wb = before.out_weights(id);
-        const auto wa = after.out_weights(id);
-        differs = std::memcmp(wb.data(), wa.data(),
-                              wb.size() * sizeof(float)) != 0;
-      }
-    }
+    const bool differs =
+        !std::equal(tb.begin(), tb.end(), ta.begin(), ta.end()) ||
+        !SameRowWeights(
+            before.is_weighted() ? before.out_weights(id)
+                                 : std::span<const float>{},
+            after.is_weighted() ? after.out_weights(id)
+                                : std::span<const float>{});
     if (differs) dirty.push_back(id);
   }
   return dirty;

@@ -6,7 +6,21 @@
 // of an immutable canonical CSR (the "base"), a merged-view iterator
 // serves adjacency that algorithms and transforms consume without
 // compaction, and the overlay is compacted into a fresh CSR once it
-// crosses a size threshold.
+// crosses a size threshold (or when Current() asks for the version).
+//
+// Splice compaction. A version costs O(changed rows) beyond bulk copies:
+// Compact() merges only the overlay's out-rows and the in-rows of the
+// targets whose multiplicity they change, and bulk-copies every clean
+// row range of the base's out- and in-arrays around them. Each version
+// it produces leaves with two things no later consumer has to recompute
+// from the whole graph:
+//   - its Graph::Fingerprint(), derived from the parent's by swapping
+//     the changed rows' terms of the row-hash sum (the base's is
+//     computed once, at construction, like the EdgeSetHash anchor);
+//   - a GraphLineage: the parent's Fingerprint() and the exact set of
+//     out-vertices whose rows changed (DirtyOutVertices(parent, version)
+//     without the diff). The prediction service re-samples from it.
+// Copies and moves of the version carry both.
 //
 // Versioned fingerprints. Every version of the edge set has a stable
 // 64-bit identity maintained incrementally: the chain is anchored at the
@@ -133,8 +147,12 @@ class EvolvingGraph {
   std::span<const VertexId> OutNeighborsInto(
       VertexId v, std::vector<VertexId>* scratch) const;
 
-  /// Folds the overlay into a fresh canonical CSR. Strong exception
-  /// safety: on failure (fail point "graph.compact") nothing changes.
+  /// Folds the overlay into a fresh canonical CSR by splicing the
+  /// changed rows into bulk copies of the base's clean ranges, stamping
+  /// the new version's fingerprint and lineage (see file comment). An
+  /// overlay that nets out to no row change keeps the base. Strong
+  /// exception safety: on failure (fail point "graph.compact") nothing
+  /// changes.
   Status Compact();
 
   /// The compacted current version (compacting first if dirty). The
@@ -146,7 +164,9 @@ class EvolvingGraph {
 
   /// Auto-compaction threshold: Apply compacts once overlay_edges()
   /// exceeds `fraction` of the base edge count (clamped to a small
-  /// floor so tiny graphs still batch). Default 0.25.
+  /// floor so tiny graphs still batch). A negative or NaN fraction acts
+  /// as 0; one whose product with |E| passes the uint64_t range never
+  /// triggers. Default 0.25.
   void set_compaction_threshold(double fraction) {
     compaction_threshold_ = fraction;
   }
@@ -170,7 +190,13 @@ class EvolvingGraph {
   /// base minus pending removes.
   uint64_t SurvivingBaseCount(VertexId v, VertexId dst) const;
 
-  Graph base_;  // canonical, plain edges
+  Graph base_;  // canonical, plain edges, fingerprint stamped
+  /// The raw row-hash sum behind base_.Fingerprint() (which maps 0 to
+  /// 1), the exact value the next version's fingerprint derives from.
+  uint64_t base_fingerprint_sum_ = 0;
+  /// Base edges with weight != 1.0: whether the next version is
+  /// weighted, without a scan.
+  uint64_t base_non_unit_weights_ = 0;
   std::unordered_map<VertexId, VertexDelta> overlay_;
   uint64_t overlay_entries_ = 0;
   int64_t edge_count_delta_ = 0;
@@ -248,8 +274,10 @@ Result<SubgraphResult> InducedSubgraph(const EvolvingGraph& graph,
 
 /// Vertices whose out-row (targets or weights) differs between two
 /// same-|V| graphs, ascending — the dirty set incremental re-sampling
-/// re-walks from. O(V + E) span compares; graphs with different |V|
-/// report every vertex of the larger one.
+/// re-walks from, and what a compacted version's GraphLineage records
+/// without diffing. An unweighted graph's rows count as weight 1.0, so
+/// a weightedness flip alone dirties no row. O(V + E) span compares;
+/// graphs with different |V| report every vertex of the larger one.
 std::vector<VertexId> DirtyOutVertices(const Graph& before,
                                        const Graph& after);
 

@@ -21,7 +21,8 @@ Graph::Graph(const Graph& other)
       out_packed_offsets_(other.out_packed_offsets_),
       in_packed_offsets_(other.in_packed_offsets_),
       fingerprint_cache_(
-          other.fingerprint_cache_.load(std::memory_order_relaxed)) {}
+          other.fingerprint_cache_.load(std::memory_order_relaxed)),
+      lineage_(other.lineage_) {}
 
 Graph& Graph::operator=(const Graph& other) {
   if (this == &other) return *this;
@@ -39,6 +40,7 @@ Graph& Graph::operator=(const Graph& other) {
   fingerprint_cache_.store(
       other.fingerprint_cache_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
+  lineage_ = other.lineage_;
   return *this;
 }
 
@@ -55,7 +57,8 @@ Graph::Graph(Graph&& other) noexcept
       out_packed_offsets_(std::move(other.out_packed_offsets_)),
       in_packed_offsets_(std::move(other.in_packed_offsets_)),
       fingerprint_cache_(
-          other.fingerprint_cache_.load(std::memory_order_relaxed)) {
+          other.fingerprint_cache_.load(std::memory_order_relaxed)),
+      lineage_(std::move(other.lineage_)) {
   other.edges_compressed_ = false;
   other.fingerprint_cache_.store(0, std::memory_order_relaxed);
 }
@@ -76,6 +79,7 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   fingerprint_cache_.store(
       other.fingerprint_cache_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
+  lineage_ = std::move(other.lineage_);
   other.edges_compressed_ = false;
   other.fingerprint_cache_.store(0, std::memory_order_relaxed);
   return *this;
@@ -256,14 +260,42 @@ uint64_t Graph::EdgeStorageBytes() const {
 
 namespace {
 
-// FNV-1a over a byte range.
-inline uint64_t FnvMix(uint64_t hash, const void* data, size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ULL;
+// splitmix64 finalizer: the mixer behind EdgeHash and the row hashes.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+// Folds one (target << 32 | weight bits) edge word into a row hash: a
+// multiply and a shift per edge, order-sensitive.
+inline uint64_t FoldEdge(uint64_t h, VertexId target, uint32_t wbits) {
+  h = (h ^ ((static_cast<uint64_t>(target) << 32) | wbits)) *
+      0x9FB21C651E98DF25ULL;
+  return h ^ (h >> 32);
+}
+
+// One out-row's fingerprint summand: the vertex id seeds the state, each
+// edge folds in as one word, and the degree is mixed into the finalizer.
+// `weights` is null for unweighted rows, which hash weight 1.0 — so a
+// row's hash does not depend on whether other rows carry weights.
+inline uint64_t RowHash(uint64_t v, const VertexId* targets,
+                        const float* weights, uint64_t degree) {
+  uint64_t h = Mix64(v ^ 0x2545F4914F6CDD1DULL);
+  if (weights == nullptr) {
+    constexpr uint32_t kUnitWeightBits = 0x3F800000u;  // bits of 1.0f
+    for (uint64_t i = 0; i < degree; ++i) {
+      h = FoldEdge(h, targets[i], kUnitWeightBits);
+    }
+  } else {
+    for (uint64_t i = 0; i < degree; ++i) {
+      uint32_t wbits;
+      std::memcpy(&wbits, &weights[i], sizeof(wbits));
+      h = FoldEdge(h, targets[i], wbits);
+    }
   }
-  return hash;
+  return Mix64(h ^ degree);
 }
 
 // Process-wide count of full-CSR fingerprint scans; lets tests assert
@@ -272,58 +304,52 @@ std::atomic<uint64_t> g_fingerprint_computations{0};
 
 }  // namespace
 
+uint64_t Graph::OutRowHash(VertexId v) const {
+  assert(!edges_compressed_);
+  const uint64_t begin = out_offsets_[v];
+  return RowHash(v, out_targets_.data() + begin,
+                 is_weighted_ ? out_weights_.data() + begin : nullptr,
+                 out_offsets_[v + 1] - begin);
+}
+
+uint64_t Graph::FingerprintSum() const {
+  g_fingerprint_computations.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t v_count = num_vertices();
+  uint64_t sum = Mix64(v_count ^ 0x8A5CD789635D2DFFULL);
+  std::vector<VertexId> scratch;
+  for (uint64_t v = 0; v < v_count; ++v) {
+    // Compressed rows hash their decoded targets, so plain and
+    // compressed copies of one structure hash equal.
+    const auto targets = OutNeighborsInto(static_cast<VertexId>(v), &scratch);
+    sum += RowHash(v, targets.data(),
+                   is_weighted_ ? out_weights_.data() + out_offsets_[v]
+                                : nullptr,
+                   targets.size());
+  }
+  return sum;
+}
+
 uint64_t Graph::Fingerprint() const {
   const uint64_t cached = fingerprint_cache_.load(std::memory_order_relaxed);
   if (cached != 0) return cached;
-
-  g_fingerprint_computations.fetch_add(1, std::memory_order_relaxed);
-  uint64_t hash = 14695981039346656037ULL;  // FNV offset basis
-  const uint64_t v = num_vertices();
-  const uint64_t e = num_edges();
-  hash = FnvMix(hash, &v, sizeof(v));
-  hash = FnvMix(hash, &e, sizeof(e));
-  // The out CSR fully determines the structure (the in CSR is derived).
-  hash = FnvMix(hash, out_offsets_.data(),
-                out_offsets_.size() * sizeof(uint64_t));
-  if (!edges_compressed_) {
-    hash = FnvMix(hash, out_targets_.data(),
-                  out_targets_.size() * sizeof(VertexId));
-  } else {
-    // Hash the decoded target ids so plain and compressed copies of the
-    // same structure see the identical byte stream (per-vertex chunks
-    // concatenate to exactly the plain out_targets_ array).
-    std::vector<VertexId> scratch;
-    for (uint64_t u = 0; u < v; ++u) {
-      const auto targets = OutNeighborsInto(static_cast<VertexId>(u), &scratch);
-      hash = FnvMix(hash, targets.data(), targets.size() * sizeof(VertexId));
-    }
-  }
-  if (is_weighted_) {
-    hash = FnvMix(hash, out_weights_.data(),
-                  out_weights_.size() * sizeof(float));
-  }
-  if (hash == 0) hash = 1;
+  const uint64_t sum = FingerprintSum();
+  const uint64_t hash = sum == 0 ? 1 : sum;
   // Benign race: concurrent first callers compute the same content hash
   // and store the same value.
   fingerprint_cache_.store(hash, std::memory_order_relaxed);
   return hash;
 }
 
+void Graph::StampVersion(uint64_t fingerprint_sum,
+                         std::shared_ptr<const GraphLineage> lineage) {
+  fingerprint_cache_.store(fingerprint_sum == 0 ? 1 : fingerprint_sum,
+                           std::memory_order_relaxed);
+  lineage_ = std::move(lineage);
+}
+
 uint64_t Graph::FingerprintComputationsForTest() {
   return g_fingerprint_computations.load(std::memory_order_relaxed);
 }
-
-namespace {
-
-// splitmix64 finalizer: the per-edge mixer behind EdgeHash.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 uint64_t Graph::EdgeHash(VertexId src, VertexId dst, float weight) {
   uint32_t wbits;

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -46,6 +47,17 @@ struct Edge {
   }
 };
 
+/// How an EvolvingGraph compaction derived a version from its parent
+/// (graph/delta.h). Copies and moves of the Graph carry it, like the
+/// fingerprint memo.
+struct GraphLineage {
+  /// Fingerprint() of the version this one was compacted from.
+  uint64_t parent_fingerprint = 0;
+  /// Vertices whose out-row (targets or weights) differs from the
+  /// parent's, ascending: exactly DirtyOutVertices(parent, *this).
+  std::vector<VertexId> dirty;
+};
+
 /// \brief Immutable directed graph in CSR form with both adjacency
 /// directions materialized.
 ///
@@ -58,8 +70,8 @@ class Graph {
 
   // The memoized fingerprint cache is an atomic, so the compiler-written
   // special members are unavailable; these copy/move the CSR arrays and
-  // carry the cache along (the fingerprint is content-based, so a copy
-  // shares it validly).
+  // carry the cache and the lineage along (both describe the content,
+  // so a copy shares them validly).
   Graph(const Graph& other);
   Graph& operator=(const Graph& other);
   Graph(Graph&& other) noexcept;
@@ -238,31 +250,57 @@ class Graph {
   /// incremental version chain. Never returns 0.
   uint64_t EdgeSetHash() const;
 
-  /// Stable 64-bit content hash of the graph structure (vertex count, out
-  /// CSR arrays, weights), independent of how the Graph was constructed —
-  /// including whether edges are compressed: plain and compressed copies
-  /// of the same structure hash equal. Identical structure always hashes
-  /// equal; distinct structures collide only with 64-bit-hash probability
-  /// (FNV-1a is not cryptographic — callers building cache keys on it
+  /// Stable 64-bit content hash of the graph structure: a |V| term plus
+  /// the sum (mod 2^64) of one hash per out-row, each hashing the row's
+  /// vertex id, degree and (target, weight bits) sequence in CSR order,
+  /// one 64-bit word per edge (unweighted rows hash weight 1.0). So the
+  /// hash is order-sensitive within a row, and a version whose rows
+  /// changed can be re-hashed from its parent's value by swapping only
+  /// those rows' terms — what EvolvingGraph compaction does. It is
+  /// independent of how the Graph was constructed, including whether
+  /// edges are compressed: plain and compressed copies hash equal.
+  /// Distinct structures collide only with 64-bit-hash probability (the
+  /// hash is not cryptographic — callers building cache keys on it
   /// should also key on |V|/|E|, as pipeline::SampleKey does). Never
   /// returns 0.
   ///
-  /// Memoized: the O(V + E) scan runs once per Graph instance (copies
-  /// inherit the cached value) and the result is served from a cache
-  /// thereafter, so hot cache-key paths (pipeline::SampleKey per
-  /// PredictionService request) pay a single atomic load. Thread-safe;
-  /// concurrent first calls may redundantly compute the same value.
+  /// Memoized: the O(V + E) scan runs at most once per Graph instance
+  /// (copies inherit the cached value; EvolvingGraph stamps the value on
+  /// every version it produces, so those are never scanned) and the
+  /// result is served from a cache thereafter, so hot cache-key paths
+  /// (pipeline::SampleKey per PredictionService request) pay a single
+  /// atomic load. Thread-safe; concurrent first calls may redundantly
+  /// compute the same value.
   uint64_t Fingerprint() const;
 
   /// Number of full-CSR fingerprint scans performed process-wide since
   /// start. Test-only observability for the memoization contract.
   static uint64_t FingerprintComputationsForTest();
 
+  /// The lineage of a version produced by EvolvingGraph compaction (or a
+  /// copy of one); null for every other graph.
+  const GraphLineage* lineage() const { return lineage_.get(); }
+
   /// Human-readable one-line summary, e.g. "Graph(|V|=100000, |E|=854301)".
   std::string ToString() const;
 
  private:
   friend class GraphBuilder;
+  friend class EvolvingGraph;
+
+  /// v's summand of the fingerprint sum (see Fingerprint()). Plain
+  /// storage only.
+  uint64_t OutRowHash(VertexId v) const;
+
+  /// The full O(V + E) scan behind Fingerprint(): the raw sum, which may
+  /// be 0 (Fingerprint() maps 0 to 1). Counted by
+  /// FingerprintComputationsForTest().
+  uint64_t FingerprintSum() const;
+
+  /// Installs a fingerprint sum computed elsewhere (from a parent
+  /// version's) and the lineage, replacing any memo.
+  void StampVersion(uint64_t fingerprint_sum,
+                    std::shared_ptr<const GraphLineage> lineage);
 
   /// Re-encodes the endpoint arrays as varint/delta streams (and frees
   /// them); inverse is DecompressEdgesInPlace.
@@ -319,6 +357,8 @@ class Graph {
 
   // 0 = not yet computed (Fingerprint() itself never yields 0).
   mutable std::atomic<uint64_t> fingerprint_cache_{0};
+  // Immutable once attached; shared by copies.
+  std::shared_ptr<const GraphLineage> lineage_;
 };
 
 /// \brief Incremental graph construction.

@@ -5,8 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "graph/delta.h"
-
 namespace predict {
 
 namespace {
@@ -79,39 +77,40 @@ Result<PredictionService::SamplePtr> PredictionService::ComputeSampleArtifact(
         std::move(artifact));
   }
 
-  // Take the retained previous-walk state (if any); a concurrent
-  // compute for another graph simply finds the slot empty and walks
-  // cold. Either way the artifact is bit-identical — the state is a
-  // pure accelerator.
-  std::optional<IncrementalState> prev;
+  // Take the retained walk record (if any); a concurrent compute for
+  // another graph simply finds the slot empty and walks cold. Either way
+  // the artifact is bit-identical — the record is a pure accelerator.
+  std::optional<SampleWalkRecord> prev;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    prev.swap(incremental_state_);
+    prev.swap(incremental_record_);
   }
+
+  // A version compacted from the graph the record was walked on re-walks
+  // only the segments its lineage's dirty rows touch; past ~25% dirty
+  // vertices the splice check itself stops paying. Any other graph
+  // walks from scratch.
+  const GraphLineage* lineage = graph.lineage();
+  const bool incremental =
+      prev.has_value() && lineage != nullptr &&
+      lineage->parent_fingerprint == prev->graph_fingerprint &&
+      lineage->dirty.size() * 4 <= graph.num_vertices();
 
   pipeline::SampleArtifact artifact;
   SampleWalkRecord updated;
   pipeline::SampleStage::IncrementalStats inc_stats;
-  bool incremental_ran = false;
-  if (prev.has_value() && prev->graph.num_vertices() == graph.num_vertices()) {
-    const std::vector<VertexId> dirty = DirtyOutVertices(prev->graph, graph);
-    // Past ~25% dirty vertices the splice check itself stops paying;
-    // walk from scratch instead.
-    if (dirty.size() * 4 <= graph.num_vertices()) {
-      PREDICT_ASSIGN_OR_RETURN(
-          artifact, stages_.sample.RunIncremental(graph, dirty, prev->record,
-                                                  &updated, &inc_stats, ctx));
-      incremental_ran = true;
-    }
-  }
-  if (!incremental_ran) {
+  if (incremental) {
+    PREDICT_ASSIGN_OR_RETURN(
+        artifact, stages_.sample.RunIncremental(graph, lineage->dirty, *prev,
+                                                &updated, &inc_stats, ctx));
+  } else {
     PREDICT_ASSIGN_OR_RETURN(artifact,
                              stages_.sample.RunRecorded(graph, &updated, ctx));
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    incremental_state_.emplace(IncrementalState{graph, std::move(updated)});
-    if (incremental_ran && !inc_stats.full_resample) {
+    incremental_record_ = std::move(updated);
+    if (incremental && !inc_stats.full_resample) {
       ++stats_.incremental_sample_updates;
       stats_.incremental_segments_reused += inc_stats.segments_reused;
     }
@@ -420,10 +419,10 @@ ServiceCacheEvictions PredictionService::ClearCaches() {
   ServiceCacheEvictions evicted;
   evicted.sample_entries = sample_cache_.size();
   evicted.profile_entries = profile_cache_.size();
-  evicted.incremental_states = incremental_state_.has_value() ? 1 : 0;
+  evicted.incremental_states = incremental_record_.has_value() ? 1 : 0;
   sample_cache_.clear();
   profile_cache_.clear();
-  incremental_state_.reset();
+  incremental_record_.reset();
   return evicted;
 }
 

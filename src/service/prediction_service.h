@@ -99,11 +99,11 @@ struct PredictionServiceOptions {
   bool enable_profile_cache = true;
 
   /// Maintain the characterized sample incrementally across graph
-  /// versions: on a sample-cache miss the service diffs the new graph
-  /// against the last graph it sampled and re-walks only the affected
-  /// walk segments (bit-identical to sampling from scratch). Effective
-  /// only when predictor.sampler.walk_segment_steps > 0; costs one
-  /// retained copy of the last-sampled graph plus its walk record.
+  /// versions: a sample-cache miss for a version EvolvingGraph compacted
+  /// from the last graph the service sampled (see GraphLineage) re-walks
+  /// only the walk segments its changed rows touch — bit-identical to
+  /// the from-scratch walk every other graph gets. Effective only when
+  /// predictor.sampler.walk_segment_steps > 0; costs one walk record.
   bool enable_incremental_sampling = true;
 };
 
@@ -129,8 +129,7 @@ struct ServiceCacheStats {
 struct ServiceCacheEvictions {
   uint64_t sample_entries = 0;
   uint64_t profile_entries = 0;
-  /// 1 if a retained incremental-sampling state (graph + walk record)
-  /// was dropped.
+  /// 1 if a retained incremental-sampling walk record was dropped.
   uint64_t incremental_states = 0;
 };
 
@@ -192,7 +191,7 @@ class PredictionService {
       bool* cache_hit = nullptr);
 
   /// Computes the sample artifact on a cache miss: incrementally from
-  /// the retained previous walk when possible, from scratch otherwise.
+  /// the retained walk record when possible, from scratch otherwise.
   Result<SamplePtr> ComputeSampleArtifact(const Graph& graph,
                                           const pipeline::StageContext& ctx);
 
@@ -225,17 +224,14 @@ class PredictionService {
   /// whose caches were cleared (a "restart") can still answer from the
   /// previous epoch's profiles when the fresh run fails.
   std::unordered_map<std::string, ProfilePtr> last_good_profiles_;
-  /// The last graph this service sampled plus the walk record taken on
-  /// it — the splice source for incremental re-sampling. One slot: the
-  /// evolving-graph workload this serves is "predict, churn, re-predict"
-  /// on one logical graph. A compute in flight takes the slot (so a
-  /// concurrent sample for a different graph falls back to a cold walk)
-  /// and stores the refreshed state back when done.
-  struct IncrementalState {
-    Graph graph;
-    SampleWalkRecord record;
-  };
-  std::optional<IncrementalState> incremental_state_;
+  /// The walk record of the last graph this service sampled (it holds
+  /// that graph's fingerprint) — the splice source for a child version's
+  /// incremental re-sample. One slot: the evolving-graph workload this
+  /// serves is "predict, churn, re-predict" on one logical graph. A
+  /// compute in flight takes the slot (so a concurrent sample for a
+  /// different graph falls back to a cold walk) and stores the
+  /// refreshed record back when done.
+  std::optional<SampleWalkRecord> incremental_record_;
   ServiceCacheStats stats_;
 };
 

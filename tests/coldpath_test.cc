@@ -21,6 +21,7 @@
 
 #include "bsp/thread_pool.h"
 #include "common/rng.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/stats.h"
@@ -372,6 +373,28 @@ TEST(ColdPathFingerprint, CopiesAndMovesCarryTheCache) {
   const Graph rebuilt = GenerateErdosRenyi({500, 2000, 9}).MoveValue();
   EXPECT_EQ(rebuilt.Fingerprint(), fp);
   EXPECT_EQ(Graph::FingerprintComputationsForTest(), before + 1);
+
+  // A compacted evolving-graph version's lineage travels the same way,
+  // through copy, move and both assignments, with no scan.
+  EvolvingGraph evolving(g);
+  ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(0, 1)}).ok());
+  auto current = evolving.Current();
+  ASSERT_TRUE(current.ok());
+  const GraphLineage* lineage = (*current)->lineage();
+  ASSERT_NE(lineage, nullptr);
+  const uint64_t version_fp = (*current)->Fingerprint();
+  const uint64_t scans = Graph::FingerprintComputationsForTest();
+  Graph version_copy = **current;
+  Graph version_moved = std::move(version_copy);
+  Graph version_assigned;
+  version_assigned = version_moved;
+  Graph version_move_assigned;
+  version_move_assigned = std::move(version_assigned);
+  for (const Graph* version : {&version_moved, &version_move_assigned}) {
+    EXPECT_EQ(version->lineage(), lineage);
+    EXPECT_EQ(version->Fingerprint(), version_fp);
+  }
+  EXPECT_EQ(Graph::FingerprintComputationsForTest(), scans);
 }
 
 // ===================================================================

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -320,6 +321,74 @@ TEST(DeltaCompactionTest, CurrentIsStableWhenClean) {
   EXPECT_EQ(*a, &g.base());
 }
 
+// Whether a 70-insert batch (past the 64-entry floor, below the default
+// 25% of the 400 base edges) trips auto-compaction under `fraction`.
+bool AutoCompactsSeventyInserts(double fraction) {
+  EvolvingGraph g(RandomGraph(100, 400, 7));
+  g.set_compaction_threshold(fraction);
+  EdgeDeltaBatch batch;
+  for (VertexId v = 0; v < 70; ++v) batch.push_back(EdgeDelta::Insert(v, 99));
+  EXPECT_TRUE(g.Apply(batch).ok());
+  return !g.dirty();
+}
+
+TEST(DeltaCompactionTest, NegativeThresholdActsAsZero) {
+  EXPECT_FALSE(AutoCompactsSeventyInserts(0.25));
+  EXPECT_TRUE(AutoCompactsSeventyInserts(0.0));
+  EXPECT_TRUE(AutoCompactsSeventyInserts(-0.5));
+  EXPECT_TRUE(
+      AutoCompactsSeventyInserts(-std::numeric_limits<double>::infinity()));
+}
+
+TEST(DeltaCompactionTest, NanThresholdActsAsZero) {
+  EXPECT_TRUE(
+      AutoCompactsSeventyInserts(std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(DeltaCompactionTest, ThresholdPastUint64RangeSaturates) {
+  // 1e300 x 400 edges and +inf both exceed 2^64: the threshold saturates
+  // instead of converting out of range, so nothing auto-compacts.
+  EXPECT_FALSE(AutoCompactsSeventyInserts(1e300));
+  EXPECT_FALSE(
+      AutoCompactsSeventyInserts(std::numeric_limits<double>::infinity()));
+}
+
+// ------------------------------------------------------------- lineage
+
+TEST(DeltaLineageTest, CompactionStampsFingerprintAndLineageWithoutAScan) {
+  EvolvingGraph g(MakeChain(6));
+  const uint64_t parent_fp = g.base().Fingerprint();
+  EXPECT_EQ(g.base().lineage(), nullptr);  // the base has no parent
+  const uint64_t scans = Graph::FingerprintComputationsForTest();
+  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(4, 0), EdgeDelta::Delete(1, 2)}).ok());
+  auto current = g.Current();
+  ASSERT_TRUE(current.ok());
+  const uint64_t stamped = (*current)->Fingerprint();
+  EXPECT_EQ(Graph::FingerprintComputationsForTest(), scans);
+  const GraphLineage* lineage = (*current)->lineage();
+  ASSERT_NE(lineage, nullptr);
+  EXPECT_EQ(lineage->parent_fingerprint, parent_fp);
+  EXPECT_EQ(lineage->dirty, (std::vector<VertexId>{1, 4}));
+  // The stamp equals a from-scratch hash of the same structure.
+  EXPECT_EQ(stamped, EvolvingGraph::Canonicalize(**current).Fingerprint());
+}
+
+TEST(DeltaLineageTest, OverlayThatNetsOutKeepsTheBase) {
+  EvolvingGraph g(MakeChain(4));
+  const Graph* base = &g.base();
+  const uint64_t fp = base->Fingerprint();
+  // Delete an edge and re-insert it at its old weight: the overlay is
+  // non-empty but no row changes.
+  ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1), EdgeDelta::Insert(0, 1)}).ok());
+  ASSERT_TRUE(g.dirty());
+  auto current = g.Current();
+  ASSERT_TRUE(current.ok());
+  EXPECT_FALSE(g.dirty());
+  EXPECT_EQ(*current, base);
+  EXPECT_EQ((*current)->Fingerprint(), fp);
+  EXPECT_EQ((*current)->lineage(), nullptr);
+}
+
 // ----------------------------------------------------------- dirty set
 
 TEST(DeltaDirtyTest, DirtyOutVerticesFindsChangedRows) {
@@ -352,6 +421,19 @@ TEST(DeltaDirtyTest, WeightOnlyChangeIsDirty) {
   EXPECT_EQ(DirtyOutVertices(EvolvingGraph::Canonicalize(a.MoveValue()),
                              EvolvingGraph::Canonicalize(b.MoveValue())),
             (std::vector<VertexId>{0}));
+}
+
+TEST(DeltaDirtyTest, WeightednessFlipAloneDirtiesNoRow) {
+  // Unweighted rows count as weight 1.0: adding a weighted edge dirties
+  // its own row only, not every row of the now-weighted graph.
+  auto a = Graph::FromEdges(3, {{0, 1, 1.0f}, {1, 2, 1.0f}});
+  auto b = Graph::FromEdges(3, {{0, 1, 1.0f}, {1, 2, 1.0f}, {2, 0, 3.0f}});
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_FALSE(a->is_weighted());
+  ASSERT_TRUE(b->is_weighted());
+  EXPECT_EQ(DirtyOutVertices(*a, *b), (std::vector<VertexId>{2}));
+  EXPECT_EQ(DirtyOutVertices(*b, *a), (std::vector<VertexId>{2}));
 }
 
 // --------------------------------------------------------------- churn

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "algorithms/pagerank.h"
 #include "algorithms/runner.h"
@@ -182,12 +189,84 @@ TEST(PropertyTest, PerIterationPredictionsTrackActualShape) {
 
 // ------------------------------------- delta versioning soundness sweep
 
+std::vector<Edge> MergedEdges(const EvolvingGraph& g) {
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    g.ForEachOutEdge(v, [&](VertexId dst, float w) {
+      edges.push_back({v, dst, w});
+    });
+  }
+  return edges;
+}
+
+template <typename T>
+bool SameBytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// A batch steering the walk through the corner cases of splice
+// compaction, by `kind`: 10 a weighted insert (the first one flips an
+// unweighted graph to weighted), 11 a parallel copy of a present edge
+// plus a self-loop, 12 deleting every occurrence of each edge with a
+// weight other than 1.0 (the last one flips the graph back to
+// unweighted), 13 deleting a whole row, leaving it at degree 0, 14
+// deleting a present edge and re-inserting it, so its row's overlay
+// nets out (unless parallel copies differ in weight).
+EdgeDeltaBatch CornerCaseBatch(const EvolvingGraph& g, uint64_t kind,
+                               Rng& rng) {
+  const std::vector<Edge> edges = MergedEdges(g);
+  const auto any_vertex = [&] {
+    return static_cast<VertexId>(rng.Uniform(g.num_vertices()));
+  };
+  EdgeDeltaBatch batch;
+  if (kind == 10) {
+    const VertexId src = any_vertex();
+    batch.push_back(EdgeDelta::Insert(
+        src, any_vertex(), 0.5f + static_cast<float>(rng.Uniform(4))));
+  } else if (kind == 11) {
+    if (!edges.empty()) {
+      const Edge& e = edges[rng.Uniform(edges.size())];
+      batch.push_back(EdgeDelta::Insert(e.src, e.dst, e.weight));
+    }
+    const VertexId v = any_vertex();
+    batch.push_back(EdgeDelta::Insert(v, v));
+  } else if (kind == 12) {
+    std::set<std::pair<VertexId, VertexId>> weighted;
+    for (const Edge& e : edges) {
+      if (e.weight != 1.0f) weighted.emplace(e.src, e.dst);
+    }
+    for (const Edge& e : edges) {
+      if (weighted.count({e.src, e.dst}) != 0) {
+        batch.push_back(EdgeDelta::Delete(e.src, e.dst));
+      }
+    }
+  } else if (kind == 13 && !edges.empty()) {
+    const VertexId src = edges[rng.Uniform(edges.size())].src;
+    for (const Edge& e : edges) {
+      if (e.src == src) batch.push_back(EdgeDelta::Delete(e.src, e.dst));
+    }
+  } else if (!edges.empty()) {
+    const Edge& e = edges[rng.Uniform(edges.size())];
+    batch.push_back(EdgeDelta::Delete(e.src, e.dst));
+    batch.push_back(EdgeDelta::Insert(e.src, e.dst, e.weight));
+  }
+  return batch;
+}
+
 // The version-fingerprint contract: across ANY interleaving of insert
 // batches, delete batches and compactions, two reached states have equal
 // VersionFingerprints iff their compacted edge multisets are equal. Each
 // random walk snapshots (canonical edge list, fingerprint) after every
 // batch — compacting a *copy* so the original keeps its overlay state —
 // then all snapshots from all walks are cross-compared.
+//
+// Every compacted version is also checked against a cold canonical
+// rebuild of the same edges (byte-identical CSR arrays, stamped
+// Fingerprint() equal to the rebuild's from-scratch one) and against its
+// parent (lineage parent = the parent's Fingerprint(), lineage dirty set
+// = DirtyOutVertices(parent, version)).
 TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   const Graph base =
       GeneratePreferentialAttachment({120, 4, 0.3, 71}).MoveValue();
@@ -197,13 +276,64 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   };
   std::vector<Snapshot> snapshots;
 
+  // Corner cases the walks must have reached (counted over versions).
+  int weighted_flips = 0;
+  int unweighted_flips = 0;
+  int dirty_rows_with_parallel_edges = 0;
+  int dirty_rows_with_self_loops = 0;
+  int dirty_rows_emptied = 0;
+  // `version` is `parent` or a version compacted from it.
+  const auto expect_derived = [&](const Graph& parent, const Graph& version) {
+    const std::vector<VertexId> dirty = DirtyOutVertices(parent, version);
+    if (dirty.empty()) {
+      EXPECT_EQ(version.Fingerprint(), parent.Fingerprint());
+      return;
+    }
+    const GraphLineage* lineage = version.lineage();
+    ASSERT_NE(lineage, nullptr);
+    EXPECT_EQ(lineage->parent_fingerprint, parent.Fingerprint());
+    EXPECT_EQ(lineage->dirty, dirty);
+    weighted_flips += !parent.is_weighted() && version.is_weighted();
+    unweighted_flips += parent.is_weighted() && !version.is_weighted();
+    for (const VertexId v : dirty) {
+      const auto row = version.out_neighbors(v);
+      dirty_rows_emptied += row.empty() && parent.out_degree(v) != 0;
+      dirty_rows_with_self_loops +=
+          std::find(row.begin(), row.end(), v) != row.end();
+      dirty_rows_with_parallel_edges +=
+          std::adjacent_find(row.begin(), row.end()) != row.end();
+    }
+  };
+  const auto expect_matches_cold = [](const Graph& version,
+                                      std::vector<Edge> edges) {
+    auto cold = Graph::FromEdges(static_cast<VertexId>(version.num_vertices()),
+                                 std::move(edges));
+    ASSERT_TRUE(cold.ok());
+    const Graph rebuilt = EvolvingGraph::Canonicalize(cold.MoveValue());
+    EXPECT_EQ(version.Fingerprint(), rebuilt.Fingerprint());
+    EXPECT_EQ(version.is_weighted(), rebuilt.is_weighted());
+    EXPECT_TRUE(SameBytes(version.out_offsets(), rebuilt.out_offsets()));
+    EXPECT_TRUE(SameBytes(version.out_targets(), rebuilt.out_targets()));
+    EXPECT_TRUE(SameBytes(version.out_weights(), rebuilt.out_weights()));
+    EXPECT_TRUE(SameBytes(version.in_offsets(), rebuilt.in_offsets()));
+    EXPECT_TRUE(SameBytes(version.in_sources(), rebuilt.in_sources()));
+  };
+
+  // Each walk opens with the corner cases in an order that reaches both
+  // weightedness flips (insert a weight, compact, delete it), then
+  // continues at random.
+  constexpr uint64_t kOpening[] = {10, 0, 12, 11, 13, 14};
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     EvolvingGraph g(base);
     Rng rng(seed * 977);
-    for (int step = 0; step < 25; ++step) {
-      const uint64_t kind = rng.Uniform(10);
+    for (size_t step = 0; step < 25; ++step) {
+      const uint64_t kind =
+          step < std::size(kOpening) ? kOpening[step] : rng.Uniform(15);
+      const Graph previous = g.base();
       if (kind == 0) {
         ASSERT_TRUE(g.Compact().ok());
+      } else if (kind >= 10) {
+        ASSERT_TRUE(g.Apply(CornerCaseBatch(g, kind, rng)).ok());
       } else {
         EdgeDeltaBatch batch;
         const uint64_t batch_size = 1 + rng.Uniform(4);
@@ -228,9 +358,15 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
         }
         ASSERT_TRUE(g.Apply(batch).ok());
       }
+      // g's own compactions (explicit or automatic) derive from its
+      // previous base.
+      expect_derived(previous, g.base());
       EvolvingGraph copy = g;
+      const Graph parent = copy.base();
       auto current = copy.Current();
       ASSERT_TRUE(current.ok());
+      expect_derived(parent, **current);
+      expect_matches_cold(**current, MergedEdges(g));
       Snapshot snap;
       snap.edges = (*current)->ToEdgeList();
       snap.fp = g.VersionFingerprint();
@@ -241,6 +377,11 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
       snapshots.push_back(std::move(snap));
     }
   }
+  EXPECT_GT(weighted_flips, 0);
+  EXPECT_GT(unweighted_flips, 0);
+  EXPECT_GT(dirty_rows_with_parallel_edges, 0);
+  EXPECT_GT(dirty_rows_with_self_loops, 0);
+  EXPECT_GT(dirty_rows_emptied, 0);
 
   int equal_pairs = 0;
   for (size_t i = 0; i < snapshots.size(); ++i) {

@@ -533,6 +533,58 @@ TEST(ServiceStalenessTest, IncrementalDisabledStillPredictsIdentically) {
   ExpectReportsIdentical(reports[0], reports[1]);
 }
 
+// Re-predicting a child version re-samples from its lineage: no scan of
+// the version (its fingerprint was stamped by compaction), no diff, one
+// scan of the new sample's subgraph. A version whose parent the service
+// never sampled walks cold — and both still match an uncached Predictor.
+TEST(ServiceStalenessTest, ChildVersionResamplesFromItsLineage) {
+  const PredictionServiceOptions options = IncrementalServiceOptions();
+  ASSERT_EQ(options.num_threads, 0);
+  EvolvingGraph evolving(TestGraph(4000, 79));
+  PredictionService service(options);
+  Predictor predictor(options.predictor);
+  PredictionRequest request;
+  request.algorithm = "connected_components";
+  request.dataset = "ds";
+
+  auto parent = evolving.Current();
+  ASSERT_TRUE(parent.ok());
+  request.graph = *parent;
+  ASSERT_TRUE(service.Predict(request).ok());
+
+  ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(3, 17)}).ok());
+  auto child = evolving.Current();
+  ASSERT_TRUE(child.ok());
+  request.graph = *child;
+  uint64_t scans = Graph::FingerprintComputationsForTest();
+  auto report = service.Predict(request);
+  ASSERT_TRUE(report.ok());
+  EXPECT_LE(Graph::FingerprintComputationsForTest() - scans, 1u);
+  EXPECT_EQ(service.cache_stats().incremental_sample_updates, 1u);
+  auto direct = predictor.PredictRuntime(request.algorithm, **child,
+                                         request.dataset);
+  ASSERT_TRUE(direct.ok());
+  ExpectReportsIdentical(*report, *direct);
+
+  // Two versions later: the lineage names a parent the service never
+  // sampled.
+  ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(5, 29)}).ok());
+  ASSERT_TRUE(evolving.Current().ok());
+  ASSERT_TRUE(evolving.Apply({EdgeDelta::Delete(3, 17)}).ok());
+  auto grandchild = evolving.Current();
+  ASSERT_TRUE(grandchild.ok());
+  request.graph = *grandchild;
+  scans = Graph::FingerprintComputationsForTest();
+  report = service.Predict(request);
+  ASSERT_TRUE(report.ok());
+  EXPECT_LE(Graph::FingerprintComputationsForTest() - scans, 1u);
+  EXPECT_EQ(service.cache_stats().incremental_sample_updates, 1u);
+  direct = predictor.PredictRuntime(request.algorithm, **grandchild,
+                                    request.dataset);
+  ASSERT_TRUE(direct.ok());
+  ExpectReportsIdentical(*report, *direct);
+}
+
 TEST(ServiceStalenessTest, ClearCachesReportsEvictions) {
   const Graph g1 = TestGraph(3000, 73);
   const Graph g2 = TestGraph(3000, 74);
