@@ -126,30 +126,6 @@ int main() {
     }
   }
 
-  // Diagnostic: warm *samples only* (profile cache disabled), so every
-  // sample run still executes. Isolates what amortized sampling + fan-out
-  // buy without memoized profiles; on a single-core host this is ~1x
-  // (the fan-out has nothing to run on), which is exactly the point of
-  // printing it next to the cache-hit rows.
-  PredictionServiceOptions strict_options;
-  strict_options.predictor = predictor_options;
-  strict_options.num_threads = 8;
-  strict_options.enable_profile_cache = false;
-  PredictionService strict(strict_options);
-  (void)strict.PredictBatch(requests);  // warm the sample cache
-  start = std::chrono::steady_clock::now();
-  auto strict_warm = strict.PredictBatch(requests);
-  const double warm_sample_only = SecondsSince(start);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (!strict_warm[i].ok() || !ReportsMatch(*strict_warm[i], baseline[i])) {
-      std::fprintf(stderr, "determinism violation (warm-sample) at %zu\n", i);
-      return 1;
-    }
-  }
-  std::printf("%-34s %8.3f s  %6.1f predictions/s  (%4.1fx)\n",
-              "batch, warm samples, cold profiles", warm_sample_only,
-              n / warm_sample_only, sequential_cold / warm_sample_only);
-
   std::printf("\nwarm-cache batch speedup vs sequential cold: %.1fx "
               "(acceptance bar: >= 3x, bit-identical reports verified)\n",
               warm_best);

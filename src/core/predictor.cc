@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/models/scaleout_models.h"
+#include "service/prediction_service.h"
 
 namespace predict {
 
@@ -189,135 +190,20 @@ Result<PredictionReport> HistoryOnlyPrediction(const PredictorOptions& options,
 Result<PredictionReport> Predictor::PredictRuntime(
     const std::string& algorithm, const Graph& graph,
     const std::string& dataset_name, const AlgorithmConfig& overrides) {
-  const PredictionPipeline stages(options_);
-  const RobustnessOptions& robustness = options_.robustness;
-  const Deadline deadline = robustness.deadline_seconds > 0
-                                ? Deadline::After(robustness.deadline_seconds)
-                                : Deadline::Infinite();
-  RequestAccounting accounting;
-  const pipeline::StageContext sample_ctx{robustness.retry, deadline,
-                                          &accounting.sample};
-  const pipeline::StageContext profile_ctx{robustness.retry, deadline,
-                                           &accounting.profile};
-  const pipeline::StageContext fit_ctx{robustness.retry, deadline,
-                                       &accounting.fit};
-
-  // Fail fast on an unknown algorithm or bad override before paying for
-  // the sampling pass. Never degrades: a misspelled request is a caller
-  // bug, and answering it from history would mask the typo.
-  const Status valid = stages.transform.Validate(algorithm, overrides);
-  if (!valid.ok()) return valid;
-
-  // The degradation ladder. The Predictor holds no caches, so its ladder
-  // has one rung below the full pipeline: history-only. When even that is
-  // unavailable the annotated fallback error (which carries the original
-  // cause) is the explicit bottom.
-  auto degrade = [&](const Status& cause) -> Result<PredictionReport> {
-    if (!robustness.degraded_fallbacks) return cause;
-    Result<PredictionReport> fallback =
-        HistoryOnlyPrediction(options_, algorithm, dataset_name,
-                              options_.engine.num_workers, cause.ToString());
-    if (!fallback.ok()) return fallback.status();
-    fallback->accounting = accounting;
-    return fallback;
-  };
-
-  // 1. Sample (§3.2.1).
-  Result<pipeline::SampleArtifact> sample = stages.sample.Run(graph, sample_ctx);
-  if (!sample.ok()) return degrade(sample.status());
-
-  // 2. Transform (§3.2.2). Pure config arithmetic — a failure here is a
-  // configuration bug, not a fault, so it does not degrade.
-  PREDICT_ASSIGN_OR_RETURN(
-      pipeline::TransformArtifact transform,
-      stages.transform.Run(algorithm, overrides, sample->realized_ratio()));
-
-  // 3. Sample run with profiling (§3.2). Same engine configuration as the
-  // actual run (assumption iii).
-  Result<pipeline::ProfileArtifact> profile =
-      stages.profile.Run(algorithm, dataset_name, *sample, transform,
-                         profile_ctx);
-  if (!profile.ok()) return degrade(profile.status());
-
-  // 4-6. Extrapolate, fit, predict.
-  Result<PredictionReport> report =
-      AssemblePredictionReport(stages, graph, algorithm, dataset_name, *sample,
-                               transform, *profile, fit_ctx);
-  if (!report.ok()) return degrade(report.status());
-  report->accounting = accounting;
-  return report;
+  PredictionService service({options_, /*num_threads=*/0});
+  return service.Predict({algorithm, &graph, dataset_name, overrides, {}});
 }
 
 std::vector<Result<PredictionReport>> Predictor::PredictAcrossScenarios(
     const std::string& algorithm, const Graph& graph,
     const std::string& dataset_name, const AlgorithmConfig& overrides,
     std::span<const bsp::ClusterScenario> scenarios, bsp::ThreadPool* pool) {
-  const PredictionPipeline stages(options_);
-  // History rows were observed on the baseline deployment (assumption
-  // iii) and the paper re-trains per cluster, so scenarios that model a
-  // different deployment must fit without them.
-  PredictorOptions history_free_options = options_;
-  history_free_options.history = nullptr;
-  const PredictionPipeline history_free_stages(history_free_options);
-  const std::string baseline_key = bsp::EngineOptionsKey(options_.engine);
-
-  // One deadline for the whole sweep, the retry policy applied at every
-  // boundary. No attempt accounting: the slots would race across the
-  // fan-out threads, and the ladder is the single-prediction APIs' job.
-  const RobustnessOptions& robustness = options_.robustness;
-  const Deadline deadline = robustness.deadline_seconds > 0
-                                ? Deadline::After(robustness.deadline_seconds)
-                                : Deadline::Infinite();
-  const pipeline::StageContext ctx{robustness.retry, deadline, nullptr};
-
-  // The front half is deployment-independent: validate, sample and
-  // transform once, then share the artifacts across every scenario.
-  auto front_half = [&]() -> Result<
-      std::pair<pipeline::SampleArtifact, pipeline::TransformArtifact>> {
-    const Status valid = stages.transform.Validate(algorithm, overrides);
-    if (!valid.ok()) return valid;
-    PREDICT_ASSIGN_OR_RETURN(pipeline::SampleArtifact sample,
-                             stages.sample.Run(graph, ctx));
-    PREDICT_ASSIGN_OR_RETURN(
-        pipeline::TransformArtifact transform,
-        stages.transform.Run(algorithm, overrides, sample.realized_ratio()));
-    return std::make_pair(std::move(sample), std::move(transform));
-  }();
-  if (!front_half.ok()) {
-    return std::vector<Result<PredictionReport>>(scenarios.size(),
-                                                 front_half.status());
+  PredictionService service({options_, /*num_threads=*/0});
+  std::vector<PredictionRequest> requests;
+  for (const bsp::ClusterScenario& scenario : scenarios) {
+    requests.push_back({algorithm, &graph, dataset_name, overrides, scenario});
   }
-  const pipeline::SampleArtifact& sample = front_half->first;
-  const pipeline::TransformArtifact& transform = front_half->second;
-
-  auto predict_one = [&](size_t i) -> Result<PredictionReport> {
-    const bsp::ClusterScenario& scenario = scenarios[i];
-    const bsp::EngineOptions engine = scenario.ToEngineOptions(0);
-    PREDICT_ASSIGN_OR_RETURN(
-        pipeline::ProfileArtifact profile,
-        stages.profile.RunWithEngine(algorithm, dataset_name, sample,
-                                     transform, engine, ctx));
-    PREDICT_ASSIGN_OR_RETURN(
-        PredictionReport report,
-        AssemblePredictionReport(
-            StagesForDeployment(bsp::EngineOptionsKey(engine), baseline_key,
-                                stages, history_free_stages),
-            graph, algorithm, dataset_name, sample, transform, profile, ctx));
-    report.scenario = scenario.name;
-    return report;
-  };
-
-  // Slots are written by index, so results are positionally identical no
-  // matter which pool thread answers which scenario.
-  std::vector<Result<PredictionReport>> results(
-      scenarios.size(), Status::Internal("scenario not computed"));
-  if (pool != nullptr) {
-    pool->ParallelFor(scenarios.size(),
-                      [&](uint64_t i) { results[i] = predict_one(i); });
-  } else {
-    for (size_t i = 0; i < scenarios.size(); ++i) results[i] = predict_one(i);
-  }
-  return results;
+  return service.FanOut(requests, pool != nullptr ? *pool : service.pool_);
 }
 
 PredictionEvaluation EvaluatePrediction(const PredictionReport& report,

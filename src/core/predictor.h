@@ -8,10 +8,11 @@
 // iterations enters implicitly (§3.4) — which is what makes PREDIcT work
 // for algorithms whose per-iteration runtime varies 100x.
 //
-// The methodology itself lives in the staged pipeline (pipeline/stages.h);
-// Predictor is the uncached end-to-end composition of those stages.
-// PredictionService (service/prediction_service.h) composes the same
-// stages with shared artifact caches for concurrent what-if traffic.
+// The methodology itself lives in the staged pipeline (pipeline/stages.h),
+// and one request path composes it: PredictionService
+// (service/prediction_service.h). Predictor is that service built for one
+// call (num_threads = 0) and dropped on return, so its reports are
+// uncached by construction and identical to a served report.
 
 #ifndef PREDICT_CORE_PREDICTOR_H_
 #define PREDICT_CORE_PREDICTOR_H_
@@ -55,7 +56,8 @@ struct RobustnessOptions {
 /// degradation ladder the request landed on.
 enum class DegradationRung {
   kFull = 0,         ///< the normal five-stage pipeline
-  kStaleProfile,     ///< cached profile from a previous epoch (service only)
+  kStaleProfile,     ///< cached profile from a previous epoch (long-lived
+                     ///< services only)
   kHistoryOnly,      ///< no sample run at all; fit on history alone
 };
 
@@ -176,10 +178,9 @@ struct PredictionReport {
   RequestAccounting accounting;
 
   /// Of the five pipeline stages, how many this request served from
-  /// cached artifacts vs actually executed (PredictionService fills
-  /// these; a bare Predictor always recomputes all five). Like
-  /// `accounting`, a property of the execution rather than the
-  /// prediction: excluded from determinism byte-compares.
+  /// cached artifacts vs actually executed. Like `accounting`, a
+  /// property of the execution rather than the prediction: excluded
+  /// from determinism byte-compares.
   int stages_reused = 0;
   int stages_recomputed = 5;
 
@@ -189,8 +190,8 @@ struct PredictionReport {
 };
 
 /// The five pipeline stages wired from one PredictorOptions. Immutable
-/// after construction and safe to share across threads; both Predictor
-/// and PredictionService run predictions through one of these.
+/// after construction and safe to share across threads; every
+/// PredictionService runs its predictions through one of these.
 struct PredictionPipeline {
   explicit PredictionPipeline(const PredictorOptions& options)
       : sample(options.sampler),
@@ -208,20 +209,6 @@ struct PredictionPipeline {
   /// its own: bootstrapping consumes the fit's residuals in place).
   BootstrapOptions bootstrap;
 };
-
-/// THE history-scoping rule, shared by Predictor's what-if sweep and
-/// PredictionService's scenario requests: history rows carry no
-/// deployment identity and belong to the baseline engine (assumption
-/// iii), so a deployment is assembled with the history-trained pipeline
-/// only when its canonical engine key (bsp::EngineOptionsKey) matches
-/// the baseline's; any other deployment fits on its sample run alone.
-/// Changing the match semantics here changes both APIs together.
-inline const PredictionPipeline& StagesForDeployment(
-    const std::string& engine_key, const std::string& baseline_key,
-    const PredictionPipeline& with_history,
-    const PredictionPipeline& history_free) {
-  return engine_key == baseline_key ? with_history : history_free;
-}
 
 /// Runs the back half of the pipeline (extrapolate -> fit -> predict)
 /// on already-computed front-half artifacts and assembles the full
@@ -252,7 +239,9 @@ Result<PredictionReport> HistoryOnlyPrediction(const PredictorOptions& options,
                                                uint32_t num_workers,
                                                const std::string& cause);
 
-/// \brief Runs the PREDIcT methodology for one (algorithm, graph) pair.
+/// \brief Runs the PREDIcT methodology for one (algorithm, graph) pair,
+/// through a PredictionService built for each call: nothing is cached
+/// across calls.
 class Predictor {
  public:
   explicit Predictor(PredictorOptions options) : options_(std::move(options)) {}
@@ -266,20 +255,25 @@ class Predictor {
   ///
   /// Honors options().robustness: each stage runs under the retry policy
   /// and the request deadline, and when degraded_fallbacks is set a
-  /// failed stage falls back to HistoryOnlyPrediction (the Predictor has
-  /// no profile cache, so the stale-profile rung is service-only).
-  /// Validation failures (unknown algorithm, bad override) never degrade
-  /// — a misspelled request must fail loudly.
+  /// failed stage falls back to HistoryOnlyPrediction (a call-scoped
+  /// service has no previous epoch, so the stale-profile rung never
+  /// answers). Validation failures (unknown algorithm, bad override)
+  /// never degrade — a misspelled request must fail loudly.
   Result<PredictionReport> PredictRuntime(const std::string& algorithm,
                                           const Graph& graph,
                                           const std::string& dataset_name = "",
                                           const AlgorithmConfig& overrides = {});
 
   /// Cross-deployment what-if (the paper's §5 deployment axis): predicts
-  /// `algorithm` on `graph` under each scenario. The graph is sampled
-  /// and the configuration transformed exactly once (neither depends on
-  /// the deployment); the sample run is profiled and the cost model
-  /// fitted per scenario, each under the scenario's engine options.
+  /// `algorithm` on `graph` under each scenario, as one request per
+  /// scenario to the call's service (PredictionService::PredictScenarios
+  /// semantics). The sample is drawn once, by the first scenario that
+  /// needs it, and joined by the rest (their stages_reused is 1); an
+  /// empty sweep draws none. Each scenario is profiled and fitted under
+  /// its own engine options, with its own deadline, attempt accounting
+  /// and, when degraded_fallbacks is set, its own degradation ladder. A
+  /// failed sample is never cached: scenarios that joined the failing
+  /// draw share its error, and the next scenario to need it draws again.
   ///
   /// The history store carries no deployment identity — assumption iii
   /// ties its rows to the predictor's configured engine — and the paper
@@ -290,8 +284,10 @@ class Predictor {
   ///
   /// results[i] corresponds to scenarios[i]. `pool` fans the scenarios
   /// out (null = sequential); every stage is deterministic, so the
-  /// fanned-out batch is bit-identical to the sequential loop. Scenario
-  /// runs simulate inline on their fan-out thread (num_threads = 0).
+  /// fanned-out batch is bit-identical to the sequential loop (modulo
+  /// the execution fields sample_wall_seconds, `accounting` and
+  /// stages_reused/recomputed). Scenario runs simulate inline on their
+  /// fan-out thread (num_threads = 0).
   std::vector<Result<PredictionReport>> PredictAcrossScenarios(
       const std::string& algorithm, const Graph& graph,
       const std::string& dataset_name, const AlgorithmConfig& overrides,

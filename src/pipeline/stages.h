@@ -11,8 +11,8 @@
 // any number of times from any thread (stages hold no mutable state).
 // Stages consume and produce the typed artifacts of artifacts.h, so any
 // stage can be exercised in isolation and any artifact can be cached and
-// reused — Predictor composes them end to end; PredictionService
-// interposes caches between them.
+// reused — PredictionService composes them end to end with caches
+// between them, and Predictor is that service built for one call.
 
 #ifndef PREDICT_PIPELINE_STAGES_H_
 #define PREDICT_PIPELINE_STAGES_H_

@@ -29,7 +29,7 @@ PredictorOptions WithoutHistory(PredictorOptions options) {
 // forever, whereas these slots are erased from the map before a failure
 // is published, so the next request re-attempts.
 template <typename ValuePtr>
-struct CacheEntry {
+struct PredictionService::Entry {
   std::mutex m;
   std::condition_variable cv;
   bool done = false;
@@ -51,9 +51,6 @@ struct CacheEntry {
   }
 };
 
-struct PredictionService::SampleEntry : CacheEntry<SamplePtr> {};
-struct PredictionService::ProfileEntry : CacheEntry<ProfilePtr> {};
-
 PredictionService::PredictionService(PredictionServiceOptions options)
     : options_(std::move(options)),
       stages_(options_.predictor),
@@ -65,12 +62,38 @@ PredictionService::PredictionService(PredictionServiceOptions options)
           ";" + options_.predictor.bootstrap.ConfigKey()),
       pool_(ResolveThreads(options_.num_threads)) {}
 
-Result<PredictionService::SamplePtr> PredictionService::ComputeSampleArtifact(
+template <typename ValuePtr, typename Compute>
+Result<ValuePtr> PredictionService::GetOrCompute(
+    Cache<ValuePtr>& cache, const std::string& key, uint64_t& hits,
+    uint64_t& misses, bool& hit, Compute compute) {
+  std::shared_ptr<Entry<ValuePtr>> entry;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_ptr<Entry<ValuePtr>>& slot = cache[key];
+    hit = slot != nullptr;
+    if (!hit) slot = std::make_shared<Entry<ValuePtr>>();
+    ++(hit ? hits : misses);
+    entry = slot;
+  }
+  if (hit) return entry->Wait();
+
+  Result<ValuePtr> result = compute();  // outside the lock: work overlaps
+  if (!result.ok()) {
+    // Cache hygiene: drop the slot *before* publishing the failure, so
+    // by the time any joiner observes the error the cache no longer
+    // holds it and the next request for this key re-attempts.
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = cache.find(key);
+    if (it != cache.end() && it->second == entry) cache.erase(it);
+  }
+  entry->Publish(result);
+  return result;
+}
+
+Result<PredictionService::SamplePtr> PredictionService::ComputeSample(
     const Graph& graph, const pipeline::StageContext& ctx) {
-  const bool incremental_enabled =
-      options_.enable_incremental_sampling &&
-      options_.predictor.sampler.walk_segment_steps != 0;
-  if (!incremental_enabled) {
+  if (stages_.sample.options().walk_segment_steps == 0) {
+    // An unsegmented walk has no segments to splice: nothing to record.
     PREDICT_ASSIGN_OR_RETURN(pipeline::SampleArtifact artifact,
                              stages_.sample.Run(graph, ctx));
     return std::make_shared<const pipeline::SampleArtifact>(
@@ -96,144 +119,26 @@ Result<PredictionService::SamplePtr> PredictionService::ComputeSampleArtifact(
       lineage->parent_fingerprint == prev->graph_fingerprint &&
       lineage->dirty.size() * 4 <= graph.num_vertices();
 
-  pipeline::SampleArtifact artifact;
   SampleWalkRecord updated;
   pipeline::SampleStage::IncrementalStats inc_stats;
-  if (incremental) {
-    PREDICT_ASSIGN_OR_RETURN(
-        artifact, stages_.sample.RunIncremental(graph, lineage->dirty, *prev,
-                                                &updated, &inc_stats, ctx));
-  } else {
-    PREDICT_ASSIGN_OR_RETURN(artifact,
-                             stages_.sample.RunRecorded(graph, &updated, ctx));
+  Result<pipeline::SampleArtifact> artifact =
+      incremental ? stages_.sample.RunIncremental(graph, lineage->dirty, *prev,
+                                                  &updated, &inc_stats, ctx)
+                  : stages_.sample.RunRecorded(graph, &updated, ctx);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!artifact.ok()) {
+    // Put the record back for the retry, unless a concurrent compute
+    // has already stored a newer one.
+    if (!incremental_record_.has_value()) incremental_record_ = std::move(prev);
+    return artifact.status();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    incremental_record_ = std::move(updated);
-    if (incremental && !inc_stats.full_resample) {
-      ++stats_.incremental_sample_updates;
-      stats_.incremental_segments_reused += inc_stats.segments_reused;
-    }
+  incremental_record_ = std::move(updated);
+  if (incremental && !inc_stats.full_resample) {
+    ++stats_.incremental_sample_updates;
+    stats_.incremental_segments_reused += inc_stats.segments_reused;
   }
-  return std::make_shared<const pipeline::SampleArtifact>(std::move(artifact));
-}
-
-Result<PredictionService::SamplePtr> PredictionService::GetOrComputeSample(
-    const Graph& graph, const pipeline::StageContext& ctx, bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  auto compute = [&]() -> Result<SamplePtr> {
-    return ComputeSampleArtifact(graph, ctx);
-  };
-
-  if (!options_.enable_sample_cache) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.sample_misses;
-    }
-    return compute();  // outside the lock: uncached work must still overlap
-  }
-
-  const std::string key =
-      pipeline::SampleKey::For(graph, stages_.sample.options()).ToString();
-  std::shared_ptr<SampleEntry> entry;
-  bool creator = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<SampleEntry>& slot = sample_cache_[key];
-    if (slot == nullptr) {
-      slot = std::make_shared<SampleEntry>();
-      creator = true;
-      ++stats_.sample_misses;
-    } else {
-      ++stats_.sample_hits;
-    }
-    entry = slot;
-  }
-  if (!creator) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return entry->Wait();
-  }
-
-  Result<SamplePtr> result = compute();
-  if (!result.ok()) {
-    // Cache hygiene: drop the slot *before* publishing the failure, so
-    // by the time any joiner observes the error the cache no longer
-    // holds it and the next request for this key re-attempts.
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sample_cache_.find(key);
-    if (it != sample_cache_.end() && it->second == entry) {
-      sample_cache_.erase(it);
-    }
-  }
-  entry->Publish(result);
-  return result;
-}
-
-Result<PredictionService::ProfilePtr> PredictionService::GetOrComputeProfile(
-    const std::string& profile_key, const std::string& algorithm,
-    const std::string& dataset, const pipeline::SampleArtifact& sample,
-    const pipeline::TransformArtifact& transform,
-    const bsp::EngineOptions& engine, const pipeline::StageContext& ctx,
-    bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  auto compute = [&]() -> Result<ProfilePtr> {
-    PREDICT_ASSIGN_OR_RETURN(
-        pipeline::ProfileArtifact artifact,
-        stages_.profile.RunWithEngine(algorithm, dataset, sample, transform,
-                                      engine, ctx));
-    return std::make_shared<const pipeline::ProfileArtifact>(
-        std::move(artifact));
-  };
-  // Every successful profile run — cached or not — refreshes the
-  // stale-profile rung for its key.
-  auto remember_good = [&](const Result<ProfilePtr>& result) {
-    if (!result.ok()) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    last_good_profiles_[profile_key] = *result;
-  };
-
-  if (!options_.enable_profile_cache) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.profile_misses;
-    }
-    Result<ProfilePtr> result = compute();  // outside the lock: must overlap
-    remember_good(result);
-    return result;
-  }
-
-  std::shared_ptr<ProfileEntry> entry;
-  bool creator = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<ProfileEntry>& slot = profile_cache_[profile_key];
-    if (slot == nullptr) {
-      slot = std::make_shared<ProfileEntry>();
-      creator = true;
-      ++stats_.profile_misses;
-    } else {
-      ++stats_.profile_hits;
-    }
-    entry = slot;
-  }
-  if (!creator) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return entry->Wait();
-  }
-
-  Result<ProfilePtr> result = compute();
-  if (!result.ok()) {
-    // Cache hygiene: the failed slot leaves the map before the failure
-    // is visible to anyone (see GetOrComputeSample).
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = profile_cache_.find(profile_key);
-    if (it != profile_cache_.end() && it->second == entry) {
-      profile_cache_.erase(it);
-    }
-  }
-  remember_good(result);
-  entry->Publish(result);
-  return result;
+  return std::make_shared<const pipeline::SampleArtifact>(
+      artifact.MoveValue());
 }
 
 Result<PredictionReport> PredictionService::Predict(
@@ -267,10 +172,9 @@ Result<PredictionReport> PredictionService::Predict(
   bsp::EngineOptions engine = options_.predictor.engine;
   std::string engine_key = default_engine_key_;
   if (request.scenario.has_value()) {
-    // Scenario runs simulate inline on the calling (fan-out) thread,
-    // like Predictor::PredictAcrossScenarios: inheriting a hardware-wide
-    // num_threads here would nest an engine pool inside every
-    // PredictScenarios pool task. Inline execution never changes
+    // Scenario runs simulate inline on the calling (fan-out) thread:
+    // inheriting a hardware-wide num_threads here would nest an engine
+    // pool inside every fan-out task. Inline execution never changes
     // simulated output (the determinism contract).
     engine = request.scenario->ToEngineOptions(0);
     engine_key = bsp::EngineOptionsKey(engine);
@@ -298,8 +202,11 @@ Result<PredictionReport> PredictionService::Predict(
   // 1. Sample (cached on the graph's content + sampler options; the
   // sample is deployment-independent, so scenario requests share it).
   bool sample_reused = false;
-  Result<SamplePtr> sample = GetOrComputeSample(graph, sample_ctx,
-                                                &sample_reused);
+  Result<SamplePtr> sample = GetOrCompute(
+      sample_cache_,
+      pipeline::SampleKey::For(graph, stages_.sample.options()).ToString(),
+      stats_.sample_hits, stats_.sample_misses, sample_reused,
+      [&] { return ComputeSample(graph, sample_ctx); });
   if (!sample.ok()) return history_only(sample.status());
 
   // 2. Transform (cheap; always recomputed). Pure config arithmetic — a
@@ -311,20 +218,31 @@ Result<PredictionReport> PredictionService::Predict(
 
   // 3. Sample run (cached on the sample's *content* + algorithm +
   // dataset label + transformed config + the target deployment's
-  // canonical engine key — everything the profile depends on, and
-  // nothing it doesn't: keying on content rather than the graph version
-  // the sample came from keeps profiles hitting across graph churn that
-  // leaves the sample unchanged).
+  // canonical engine key + the model configuration — everything the
+  // profile depends on, and nothing it doesn't: keying on content rather
+  // than the graph version the sample came from keeps profiles hitting
+  // across graph churn that leaves the sample unchanged).
   const std::string profile_key =
       (*sample)->ContentKey() + "|" + request.algorithm + "|" +
       request.dataset + "|" + transform.ConfigKey() + "|" + engine_key + "|" +
       model_config_key_;
-  DegradationInfo degradation;
   bool profile_reused = false;
-  Result<ProfilePtr> profile =
-      GetOrComputeProfile(profile_key, request.algorithm, request.dataset,
-                          **sample, transform, engine, profile_ctx,
-                          &profile_reused);
+  Result<ProfilePtr> profile = GetOrCompute(
+      profile_cache_, profile_key, stats_.profile_hits, stats_.profile_misses,
+      profile_reused, [&]() -> Result<ProfilePtr> {
+        PREDICT_ASSIGN_OR_RETURN(
+            pipeline::ProfileArtifact artifact,
+            stages_.profile.RunWithEngine(request.algorithm, request.dataset,
+                                          **sample, transform, engine,
+                                          profile_ctx));
+        auto shared = std::make_shared<const pipeline::ProfileArtifact>(
+            std::move(artifact));
+        // Every successful profile run refreshes the stale-profile rung.
+        std::lock_guard<std::mutex> lock(mutex_);
+        last_good_profiles_[profile_key] = shared;
+        return shared;
+      });
+  DegradationInfo degradation;
   if (!profile.ok()) {
     if (!robustness.degraded_fallbacks) return profile.status();
     // Middle rung: the last profile this service (ever) computed for the
@@ -334,24 +252,25 @@ Result<PredictionReport> PredictionService::Predict(
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = last_good_profiles_.find(profile_key);
-      if (it != last_good_profiles_.end()) stale = it->second;
+      if (it != last_good_profiles_.end()) {
+        stale = it->second;
+        ++stats_.stale_profile_hits;
+      }
     }
     if (stale == nullptr) return history_only(profile.status());
     degradation.rung = DegradationRung::kStaleProfile;
     degradation.cause = profile.status().ToString();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.stale_profile_hits;
-    }
     profile = stale;
     profile_reused = true;  // answered from a prior epoch's artifact
   }
 
   // 4-6. Extrapolate, fit, predict — per request, never cached (history
-  // exclusion and the full graph differ per request). History belongs
-  // to the configured deployment only (StagesForDeployment).
-  const PredictionPipeline& assemble_stages = StagesForDeployment(
-      engine_key, default_engine_key_, stages_, history_free_stages_);
+  // exclusion and the full graph differ per request). History rows carry
+  // no deployment identity and belong to the configured engine
+  // (assumption iii), so only a deployment with the configured engine's
+  // canonical key fits on them; any other fits on its sample run alone.
+  const PredictionPipeline& assemble_stages =
+      engine_key == default_engine_key_ ? stages_ : history_free_stages_;
   Result<PredictionReport> report = AssemblePredictionReport(
       assemble_stages, graph, request.algorithm, request.dataset, **sample,
       transform, **profile, fit_ctx);
@@ -366,47 +285,33 @@ Result<PredictionReport> PredictionService::Predict(
   return report;
 }
 
-std::vector<Result<PredictionReport>> PredictionService::PredictScenarios(
-    const PredictionRequest& request,
-    const std::vector<bsp::ClusterScenario>& scenarios) {
-  // One request per scenario through the regular cached path: the first
-  // to need the sample computes it, everyone else joins it.
-  std::vector<std::optional<Result<PredictionReport>>> slots(scenarios.size());
-  {
-    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-    pool_.ParallelFor(scenarios.size(), [&](uint64_t i) {
-      PredictionRequest scenario_request = request;
-      scenario_request.scenario = scenarios[i];
-      slots[i].emplace(Predict(scenario_request));
-    });
-  }
-
-  std::vector<Result<PredictionReport>> results;
-  results.reserve(scenarios.size());
-  for (std::optional<Result<PredictionReport>>& slot : slots) {
-    results.push_back(std::move(*slot));
-  }
+std::vector<Result<PredictionReport>> PredictionService::FanOut(
+    std::span<const PredictionRequest> requests, bsp::ThreadPool& pool) {
+  // Slots are written by index: results are positionally deterministic no
+  // matter which pool thread answers which request.
+  std::vector<Result<PredictionReport>> results(
+      requests.size(), Status::Internal("request not answered"));
+  pool.ParallelFor(requests.size(),
+                   [&](uint64_t i) { results[i] = Predict(requests[i]); });
   return results;
 }
 
 std::vector<Result<PredictionReport>> PredictionService::PredictBatch(
     const std::vector<PredictionRequest>& requests) {
-  // Slots are written by index: results are positionally deterministic no
-  // matter which pool thread answers which request.
-  std::vector<std::optional<Result<PredictionReport>>> slots(requests.size());
-  {
-    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-    pool_.ParallelFor(requests.size(), [&](uint64_t i) {
-      slots[i].emplace(Predict(requests[i]));
-    });
-  }
+  std::lock_guard<std::mutex> batch_lock(batch_mutex_);
+  return FanOut(requests, pool_);
+}
 
-  std::vector<Result<PredictionReport>> results;
-  results.reserve(requests.size());
-  for (std::optional<Result<PredictionReport>>& slot : slots) {
-    results.push_back(std::move(*slot));
+std::vector<Result<PredictionReport>> PredictionService::PredictScenarios(
+    const PredictionRequest& request,
+    const std::vector<bsp::ClusterScenario>& scenarios) {
+  // One request per scenario: the first to need the sample computes it,
+  // everyone else joins it.
+  std::vector<PredictionRequest> requests(scenarios.size(), request);
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    requests[i].scenario = scenarios[i];
   }
-  return results;
+  return PredictBatch(requests);
 }
 
 ServiceCacheStats PredictionService::cache_stats() const {

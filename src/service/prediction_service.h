@@ -1,34 +1,42 @@
-// PredictionService: a thread-safe, caching front end over the staged
-// prediction pipeline, built for what-if traffic — schedulers asking
-// "how long will each of these algorithms take on each of these
-// datasets?" many times over.
+// PredictionService: the one request path of the staged prediction
+// pipeline, a thread-safe caching front end built for what-if traffic —
+// schedulers asking "how long will each of these algorithms take on each
+// of these datasets?" many times over. Predictor (core/predictor.h)
+// answers each of its calls through a service built for that call, so an
+// uncached report and a served one come from the same code.
 //
 // Two artifact caches amortize the expensive front half of the pipeline:
 //
 //   sample cache   (graph fingerprint, SamplerOptions) -> SampleArtifact
-//   profile cache  (sample key, algorithm, dataset, transformed config,
-//                  scenario key) -> ProfileArtifact
+//   profile cache  (sample ContentKey(), algorithm, dataset, transformed
+//                  config, engine key, model-config key) -> ProfileArtifact
 //
 // Both are shared across concurrent Predict calls: the first request for
 // a key computes the artifact while later requests for the same key wait
 // on it (no duplicated sampling or sample runs, no thundering herd).
-// PredictBatch fans requests out over a bsp::ThreadPool.
+// PredictBatch and PredictScenarios fan requests out over a
+// bsp::ThreadPool.
 //
 // Requests may target a cluster scenario (bsp/scenario.h) other than the
 // service's configured deployment: the sample cache is scenario-agnostic
 // (sampling is deployment-independent) and keeps its hits, while the
 // profile cache keys on the scenario's canonical engine key, so a
 // profile measured under one deployment is never served for another.
-// PredictScenarios sweeps one request across many scenarios, reusing the
-// cached sample and fanning the per-scenario sample runs out over the
-// pool.
+// Keying profiles on the sample's content rather than the graph version
+// keeps them hitting across graph churn that leaves the sample unchanged.
+//
+// Evolving graphs: when predictor.sampler.walk_segment_steps > 0, the
+// service keeps the walk record of the last graph it sampled, and a
+// sample-cache miss for a version EvolvingGraph compacted from that graph
+// (see GraphLineage) re-walks only the segments its changed rows touch —
+// bit-identical to the from-scratch walk every other graph gets.
 //
 // Determinism contract: every stage is deterministic, so a report served
 // from warm caches under any concurrency is bit-identical to a cold
-// sequential Predictor::PredictRuntime — except sample_wall_seconds,
-// which reports host timing of whichever run produced the artifact, and
-// PredictionReport::accounting, which counts whichever attempts this
-// host's interleaving actually ran.
+// sequential Predictor::PredictRuntime — except sample_wall_seconds
+// (host timing of whichever run produced the artifact), `accounting`
+// (whichever attempts this host's interleaving ran) and
+// stages_reused/stages_recomputed (which stages a cache served).
 //
 // Failure semantics (the robustness contract):
 //   - A failed stage never populates a cache: the computing thread
@@ -51,6 +59,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,17 +103,6 @@ struct PredictionServiceOptions {
   /// batch serving, prefer engine.num_threads = 0 and let the batch
   /// fan-out supply the parallelism.
   int num_threads = -1;
-
-  bool enable_sample_cache = true;
-  bool enable_profile_cache = true;
-
-  /// Maintain the characterized sample incrementally across graph
-  /// versions: a sample-cache miss for a version EvolvingGraph compacted
-  /// from the last graph the service sampled (see GraphLineage) re-walks
-  /// only the walk segments its changed rows touch — bit-identical to
-  /// the from-scratch walk every other graph gets. Effective only when
-  /// predictor.sampler.walk_segment_steps > 0; costs one walk record.
-  bool enable_incremental_sampling = true;
 };
 
 /// Cumulative cache accounting. A "hit" includes joining an in-flight
@@ -172,28 +170,37 @@ class PredictionService {
   const PredictionServiceOptions& options() const { return options_; }
 
  private:
-  struct SampleEntry;
-  struct ProfileEntry;
+  // Predictor answers each call through a service built for that call.
+  friend class Predictor;
+
+  template <typename ValuePtr>
+  struct Entry;
+  template <typename ValuePtr>
+  using Cache =
+      std::unordered_map<std::string, std::shared_ptr<Entry<ValuePtr>>>;
 
   using SamplePtr = std::shared_ptr<const pipeline::SampleArtifact>;
   using ProfilePtr = std::shared_ptr<const pipeline::ProfileArtifact>;
 
-  /// `cache_hit` (may be null) reports whether the artifact was served
-  /// from the cache (including joining an in-flight computation).
-  Result<SamplePtr> GetOrComputeSample(const Graph& graph,
-                                       const pipeline::StageContext& ctx,
-                                       bool* cache_hit = nullptr);
-  Result<ProfilePtr> GetOrComputeProfile(
-      const std::string& profile_key, const std::string& algorithm,
-      const std::string& dataset, const pipeline::SampleArtifact& sample,
-      const pipeline::TransformArtifact& transform,
-      const bsp::EngineOptions& engine, const pipeline::StageContext& ctx,
-      bool* cache_hit = nullptr);
+  /// The one fan-out behind PredictBatch, PredictScenarios and
+  /// Predictor::PredictAcrossScenarios: results[i] answers requests[i],
+  /// whichever thread of `pool` computed it.
+  std::vector<Result<PredictionReport>> FanOut(
+      std::span<const PredictionRequest> requests, bsp::ThreadPool& pool);
+
+  /// The one cache policy, shared by both caches: the first request for
+  /// `key` runs `compute` while later ones join its result (`hit` says
+  /// which, counted into `hits`/`misses`). A failed slot leaves the map
+  /// before the failure is published, so the next request re-attempts.
+  template <typename ValuePtr, typename Compute>
+  Result<ValuePtr> GetOrCompute(Cache<ValuePtr>& cache, const std::string& key,
+                                uint64_t& hits, uint64_t& misses, bool& hit,
+                                Compute compute);
 
   /// Computes the sample artifact on a cache miss: incrementally from
   /// the retained walk record when possible, from scratch otherwise.
-  Result<SamplePtr> ComputeSampleArtifact(const Graph& graph,
-                                          const pipeline::StageContext& ctx);
+  Result<SamplePtr> ComputeSample(const Graph& graph,
+                                  const pipeline::StageContext& ctx);
 
   PredictionServiceOptions options_;
   PredictionPipeline stages_;
@@ -216,8 +223,8 @@ class PredictionService {
   bsp::ThreadPool pool_;
 
   mutable std::mutex mutex_;  // guards the maps below and stats_
-  std::unordered_map<std::string, std::shared_ptr<SampleEntry>> sample_cache_;
-  std::unordered_map<std::string, std::shared_ptr<ProfileEntry>> profile_cache_;
+  Cache<SamplePtr> sample_cache_;
+  Cache<ProfilePtr> profile_cache_;
   /// Last successfully computed profile per profile key: the
   /// stale-profile degradation rung. Updated on every successful profile
   /// compute; intentionally NOT dropped by ClearCaches, so a service
@@ -230,7 +237,8 @@ class PredictionService {
   /// serves is "predict, churn, re-predict" on one logical graph. A
   /// compute in flight takes the slot (so a concurrent sample for a
   /// different graph falls back to a cold walk) and stores the
-  /// refreshed record back when done.
+  /// refreshed record back when done, or the record it took when its
+  /// walk failed and no newer one has arrived.
   std::optional<SampleWalkRecord> incremental_record_;
   ServiceCacheStats stats_;
 };

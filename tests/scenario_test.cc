@@ -14,6 +14,7 @@
 
 #include "algorithms/pagerank.h"
 #include "bsp/scenario.h"
+#include "common/failpoint.h"
 #include "core/predictor.h"
 #include "datasets/datasets.h"
 #include "graph/generators.h"
@@ -215,6 +216,19 @@ TEST(WhatIfTest, FannedOutSweepIsBitIdenticalToSequential) {
   }
 }
 
+TEST(WhatIfTest, EmptySweepDrawsNoSample) {
+  const Graph g =
+      GeneratePreferentialAttachment({2000, 6, 0.3, 91}).MoveValue();
+  PredictorOptions options;
+  options.sampler.sampling_ratio = 0.1;
+  const uint64_t scans = Graph::FingerprintComputationsForTest();
+  const auto reports = Predictor(options).PredictAcrossScenarios(
+      "pagerank", g, "g", {}, {}, nullptr);
+  EXPECT_TRUE(reports.empty());
+  // Sampling would have hashed the graph for the sample's cache key.
+  EXPECT_EQ(Graph::FingerprintComputationsForTest(), scans);
+}
+
 TEST(WhatIfTest, ReportsCarryTheScenarioAndDiffer) {
   PredictorOptions options;
   options.sampler.sampling_ratio = 0.1;
@@ -410,6 +424,60 @@ TEST(ScenarioServiceTest, PredictScenariosBitIdenticalToSequentialPredict) {
     EXPECT_EQ(stats.sample_misses, 1u);
     EXPECT_EQ(stats.sample_hits, scenarios.size() - 1);
     EXPECT_EQ(stats.profile_misses, scenarios.size());
+  }
+}
+
+// ------------------------------------------- the two sweep APIs agree
+
+// Predictor's sweep and the service's are one request path, so they
+// land on the same degradation rung with the same answer, whether every
+// profile run succeeds or every one fails.
+TEST(WhatIfTest, SweepMatchesPredictScenariosOnEveryRung) {
+  // Actual runs at two worker counts: history enough for every rung.
+  const Graph other =
+      GeneratePreferentialAttachment({3000, 6, 0.3, 93}).MoveValue();
+  HistoryStore history;
+  for (const uint32_t workers : {4u, 8u}) {
+    RunOptions run;
+    run.engine.num_workers = workers;
+    auto actual = RunAlgorithmByName("connected_components", other, run);
+    ASSERT_TRUE(actual.ok());
+    history.Add(ProfileFromRunStats("connected_components", "other",
+                                    other.num_vertices(), other.num_edges(),
+                                    actual->stats));
+  }
+  PredictionServiceOptions options = ServiceOptions();
+  options.predictor.history = &history;
+  options.predictor.robustness.degraded_fallbacks = true;
+  const std::vector<ClusterScenario>& scenarios = BuiltinScenarios();
+
+  for (const DegradationRung rung :
+       {DegradationRung::kFull, DegradationRung::kHistoryOnly}) {
+    SCOPED_TRACE(DegradationRungName(rung));
+    if (rung == DegradationRung::kHistoryOnly) {
+      ASSERT_TRUE(fail::Configure("profile.run", "prob:1").ok());
+    }
+    const auto swept = Predictor(options.predictor)
+                           .PredictAcrossScenarios("connected_components",
+                                                   WhatIfGraph(), "wiki", {},
+                                                   scenarios, nullptr);
+    PredictionService service(options);
+    const auto served = service.PredictScenarios(WikiRequest(), scenarios);
+    fail::DisableAll();
+
+    ASSERT_EQ(swept.size(), scenarios.size());
+    ASSERT_EQ(served.size(), scenarios.size());
+    for (size_t i = 0; i < scenarios.size(); ++i) {
+      SCOPED_TRACE(scenarios[i].name);
+      ASSERT_TRUE(swept[i].ok()) << swept[i].status().ToString();
+      ASSERT_TRUE(served[i].ok()) << served[i].status().ToString();
+      EXPECT_EQ(swept[i]->degradation.rung, rung);
+      EXPECT_EQ(served[i]->degradation.rung, rung);
+      EXPECT_EQ(swept[i]->scenario, scenarios[i].name);
+      EXPECT_EQ(served[i]->scenario, scenarios[i].name);
+      EXPECT_EQ(swept[i]->per_iteration_seconds,
+                served[i]->per_iteration_seconds);
+    }
   }
 }
 

@@ -191,24 +191,6 @@ TEST(PredictionServiceTest, BatchAccountsOneSampleMissPerDistinctGraph) {
   EXPECT_EQ(stats.profile_hits, 0u);
 }
 
-TEST(PredictionServiceTest, DisabledCachesAlwaysMiss) {
-  const Graph g = TestGraph(2000, 35);
-  PredictionServiceOptions options = TestServiceOptions();
-  options.enable_sample_cache = false;
-  options.enable_profile_cache = false;
-  PredictionService service(options);
-  PredictionRequest request;
-  request.algorithm = "connected_components";
-  request.graph = &g;
-  ASSERT_TRUE(service.Predict(request).ok());
-  ASSERT_TRUE(service.Predict(request).ok());
-  const ServiceCacheStats stats = service.cache_stats();
-  EXPECT_EQ(stats.sample_misses, 2u);
-  EXPECT_EQ(stats.sample_hits, 0u);
-  EXPECT_EQ(stats.profile_misses, 2u);
-  EXPECT_EQ(stats.profile_hits, 0u);
-}
-
 TEST(PredictionServiceTest, ClearCachesForcesRecomputation) {
   const Graph g = TestGraph(2000, 36);
   PredictionService service(TestServiceOptions());
@@ -508,31 +490,6 @@ TEST(ServiceStalenessTest, ProfileCacheSurvivesChurnOutsideTheSample) {
   EXPECT_GT(stats.incremental_segments_reused, 0u);
 }
 
-TEST(ServiceStalenessTest, IncrementalDisabledStillPredictsIdentically) {
-  PredictionServiceOptions options = IncrementalServiceOptions();
-  const Graph base = EvolvingGraph::Canonicalize(TestGraph(3000, 71));
-  const Graph mutated = MutateOutsideSample(base, options.predictor.sampler);
-
-  PredictionRequest request;
-  request.algorithm = "connected_components";
-  request.dataset = "ds";
-
-  std::vector<PredictionReport> reports;
-  for (const bool enabled : {true, false}) {
-    options.enable_incremental_sampling = enabled;
-    PredictionService service(options);
-    request.graph = &base;
-    ASSERT_TRUE(service.Predict(request).ok());
-    request.graph = &mutated;
-    auto report = service.Predict(request);
-    ASSERT_TRUE(report.ok());
-    const ServiceCacheStats stats = service.cache_stats();
-    EXPECT_EQ(stats.incremental_sample_updates, enabled ? 1u : 0u);
-    reports.push_back(*report);
-  }
-  ExpectReportsIdentical(reports[0], reports[1]);
-}
-
 // Re-predicting a child version re-samples from its lineage: no scan of
 // the version (its fingerprint was stamped by compaction), no diff, one
 // scan of the new sample's subgraph. A version whose parent the service
@@ -583,6 +540,41 @@ TEST(ServiceStalenessTest, ChildVersionResamplesFromItsLineage) {
                                     request.dataset);
   ASSERT_TRUE(direct.ok());
   ExpectReportsIdentical(*report, *direct);
+}
+
+// A transient fault in a child version's re-walk must not cost the
+// walk record it took: the retry still re-samples from the lineage.
+TEST(ServiceStalenessTest, FailedResampleKeepsTheWalkRecord) {
+  const PredictionServiceOptions options = IncrementalServiceOptions();
+  EvolvingGraph evolving(TestGraph(4000, 83));
+  PredictionService service(options);
+  PredictionRequest request;
+  request.algorithm = "connected_components";
+  request.dataset = "ds";
+
+  auto parent = evolving.Current();
+  ASSERT_TRUE(parent.ok());
+  request.graph = *parent;
+  ASSERT_TRUE(service.Predict(request).ok());
+
+  ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(3, 17)}).ok());
+  auto child = evolving.Current();
+  ASSERT_TRUE(child.ok());
+  request.graph = *child;
+  ASSERT_TRUE(fail::Configure("sample.walk", "once").ok());
+  auto failed = service.Predict(request);
+  fail::DisableAll();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(service.cache_stats().incremental_sample_updates, 0u);
+
+  auto retried = service.Predict(request);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_EQ(service.cache_stats().incremental_sample_updates, 1u);
+  auto direct = Predictor(options.predictor)
+                    .PredictRuntime(request.algorithm, **child,
+                                    request.dataset);
+  ASSERT_TRUE(direct.ok());
+  ExpectReportsIdentical(*retried, *direct);
 }
 
 TEST(ServiceStalenessTest, ClearCachesReportsEvictions) {
