@@ -1,8 +1,8 @@
 // Churn gate (ctest: churn_gate, labels bench-smoke and churn).
 //
 // Guards the evolving-graph bargain: after 1% edge churn, re-predicting
-// through the incremental machinery (delta overlay + spliced re-walk +
-// content-keyed profile cache) must cost at most 10% of a cold predict —
+// through the incremental machinery (O(churn) versions + spliced re-walk
+// + content-keyed profile cache) must cost at most 10% of a cold predict —
 // and stay bit-identical to a from-scratch predict on the mutated graph.
 //
 // Procedure, per service thread count in {0, 1, 2, 8}:

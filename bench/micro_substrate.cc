@@ -316,34 +316,8 @@ void BM_ForwardSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardSelection)->Unit(benchmark::kMicrosecond);
 
-// Merged-view adjacency scan with an overlay holding Arg()% of |E| as
-// pending mutations (0 = clean base: the overlay-bypass fast path).
-void BM_DeltaOverlayScan(benchmark::State& state) {
-  EvolvingGraph graph(BenchGraph());
-  graph.set_compaction_threshold(1e9);
-  const double fraction = static_cast<double>(state.range(0)) / 100.0;
-  if (fraction > 0.0) {
-    auto batch = GenerateChurn(graph.base(), {.fraction = fraction, .seed = 5});
-    if (!batch.ok() || !graph.Apply(*batch).ok()) {
-      state.SkipWithError("churn generation failed");
-      return;
-    }
-  }
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      graph.ForEachOutNeighbor(v, [&](VertexId dst) { sum += dst; });
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(graph.num_edges()));
-}
-BENCHMARK(BM_DeltaOverlayScan)->Arg(0)->Arg(1)->Arg(10)
-    ->Unit(benchmark::kMillisecond);
-
-// Folding an overlay of Arg()% of |E| into a fresh canonical CSR.
-void BM_DeltaCompaction(benchmark::State& state) {
+// Building the next version from a churn batch of Arg()% of |E|.
+void BM_DeltaApply(benchmark::State& state) {
   const double fraction = static_cast<double>(state.range(0)) / 100.0;
   auto batch = GenerateChurn(EvolvingGraph::Canonicalize(BenchGraph()),
                              {.fraction = fraction, .seed = 7});
@@ -354,18 +328,13 @@ void BM_DeltaCompaction(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     EvolvingGraph graph(BenchGraph());
-    graph.set_compaction_threshold(1e9);
-    if (!graph.Apply(*batch).ok()) {
-      state.SkipWithError("apply failed");
-      return;
-    }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(graph.Compact());
+    benchmark::DoNotOptimize(graph.Apply(*batch));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(BenchGraph().num_edges()));
 }
-BENCHMARK(BM_DeltaCompaction)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeltaApply)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

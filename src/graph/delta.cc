@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -43,21 +46,6 @@ bool SameRowWeights(std::span<const float> a, std::span<const float> b) {
 uint64_t CountNonUnitWeights(std::span<const float> weights) {
   return static_cast<uint64_t>(std::count_if(
       weights.begin(), weights.end(), [](float w) { return w != 1.0f; }));
-}
-
-// Apply's auto-compaction trigger: `fraction` of the base edge count,
-// floored so tiny graphs still batch. A negative or NaN fraction counts
-// as 0 and a product past the uint64_t range saturates, so the
-// conversion is always defined.
-uint64_t CompactionThreshold(double fraction, uint64_t base_edges) {
-  const double scaled = fraction * static_cast<double>(base_edges);
-  uint64_t limit = 0;
-  if (scaled >= 18446744073709551616.0) {  // 2^64
-    limit = UINT64_MAX;
-  } else if (scaled > 0.0) {
-    limit = static_cast<uint64_t>(scaled);
-  }
-  return std::max<uint64_t>(64, limit);
 }
 
 // A fresh CSR offset array: the base's offsets, shifted past each
@@ -179,176 +167,83 @@ Graph EvolvingGraph::Canonicalize(Graph g) {
 }
 
 EvolvingGraph::EvolvingGraph(Graph base)
-    : base_(Canonicalize(std::move(base))),
-      base_fingerprint_sum_(base_.FingerprintSum()),
-      base_non_unit_weights_(CountNonUnitWeights(base_.out_weights())),
-      version_fp_(base_.EdgeSetHash()) {
-  base_.StampVersion(base_fingerprint_sum_, nullptr);
-}
-
-uint64_t EvolvingGraph::SurvivingBaseCount(VertexId v, VertexId dst) const {
-  const auto targets = base_.out_neighbors(v);
-  const auto [lo, hi] = std::equal_range(targets.begin(), targets.end(), dst);
-  uint64_t count = static_cast<uint64_t>(hi - lo);
-  const auto it = overlay_.find(v);
-  if (it != overlay_.end()) {
-    const auto& removes = it->second.removes;
-    const auto [rlo, rhi] =
-        std::equal_range(removes.begin(), removes.end(), dst);
-    count -= static_cast<uint64_t>(rhi - rlo);
-  }
-  return count;
-}
-
-uint64_t EvolvingGraph::out_degree(VertexId v) const {
-  uint64_t degree = base_.out_degree(v);
-  const auto it = overlay_.find(v);
-  if (it != overlay_.end()) {
-    degree += it->second.adds.size();
-    degree -= it->second.removes.size();
-  }
-  return degree;
-}
-
-std::span<const VertexId> EvolvingGraph::OutNeighborsInto(
-    VertexId v, std::vector<VertexId>* scratch) const {
-  if (overlay_.find(v) == overlay_.end()) return base_.out_neighbors(v);
-  scratch->clear();
-  ForEachOutNeighbor(v, [&](VertexId dst) { scratch->push_back(dst); });
-  return {scratch->data(), scratch->data() + scratch->size()};
+    : current_(Canonicalize(std::move(base))),
+      fingerprint_sum_(current_.FingerprintSum()),
+      non_unit_weights_(CountNonUnitWeights(current_.out_weights())) {
+  current_.StampVersion(fingerprint_sum_, nullptr);
 }
 
 Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
   const uint64_t v_count = num_vertices();
-
-  // Validate the whole batch against the current version before touching
-  // anything: replay it against per-vertex occurrence counters so a
-  // delete may consume an insert earlier in the same batch, and a batch
-  // over-deleting an edge (duplicate removal) is caught here.
-  {
-    // (src, dst) -> net occurrence delta within this batch.
-    std::unordered_map<uint64_t, int64_t> net;
-    const auto pack = [](VertexId s, VertexId d) {
-      return (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(d);
-    };
-    for (const EdgeDelta& delta : batch) {
-      if (delta.src >= v_count || delta.dst >= v_count) {
-        return OffendingEdge(delta.op == EdgeDelta::Op::kInsert
-                                 ? "edge insert references an unknown vertex"
-                                 : "edge delete references an unknown vertex",
-                             delta.src, delta.dst);
-      }
-      int64_t& n = net[pack(delta.src, delta.dst)];
-      if (delta.op == EdgeDelta::Op::kInsert) {
-        ++n;
-        continue;
-      }
-      --n;
-      const uint64_t existing =
-          SurvivingBaseCount(delta.src, delta.dst) +
-          [&]() -> uint64_t {
-        const auto it = overlay_.find(delta.src);
-        if (it == overlay_.end()) return 0;
-        const auto& adds = it->second.adds;
-        const auto lo = std::lower_bound(
-            adds.begin(), adds.end(), delta.dst,
-            [](const auto& a, VertexId d) { return a.first < d; });
-        const auto hi = std::upper_bound(
-            adds.begin(), adds.end(), delta.dst,
-            [](VertexId d, const auto& a) { return d < a.first; });
-        return static_cast<uint64_t>(hi - lo);
-      }();
-      if (static_cast<int64_t>(existing) + n < 0) {
-        return OffendingEdge("delete of a non-existent edge", delta.src,
-                             delta.dst);
-      }
-    }
-  }
-
-  // Apply. Deletes cancel a pending add for the same (src, dst) first
-  // (most recent state), else consume a base occurrence.
   for (const EdgeDelta& delta : batch) {
-    VertexDelta& vd = overlay_[delta.src];
-    if (delta.op == EdgeDelta::Op::kInsert) {
-      const std::pair<VertexId, float> entry{delta.dst, delta.weight};
-      vd.adds.insert(std::upper_bound(vd.adds.begin(), vd.adds.end(), entry,
-                                      CanonicalLess),
-                     entry);
-      ++overlay_entries_;
-      ++edge_count_delta_;
-      version_fp_ += Graph::EdgeHash(delta.src, delta.dst, delta.weight);
-      continue;
+    if (delta.src >= v_count || delta.dst >= v_count) {
+      return OffendingEdge(delta.op == EdgeDelta::Op::kInsert
+                               ? "edge insert references an unknown vertex"
+                               : "edge delete references an unknown vertex",
+                           delta.src, delta.dst);
     }
-    // Delete: prefer cancelling a pending add (first add with this dst).
-    const auto add_it = std::lower_bound(
-        vd.adds.begin(), vd.adds.end(), delta.dst,
-        [](const auto& a, VertexId d) { return a.first < d; });
-    float removed_weight;
-    if (add_it != vd.adds.end() && add_it->first == delta.dst) {
-      removed_weight = add_it->second;
-      vd.adds.erase(add_it);
-      --overlay_entries_;
-    } else {
-      // Consume the next surviving base occurrence: its weight is the
-      // (removes-so-far)-th occurrence of dst in the sorted base row.
-      const auto targets = base_.out_neighbors(delta.src);
-      const auto lo =
-          std::lower_bound(targets.begin(), targets.end(), delta.dst);
-      const auto [rlo, rhi] = std::equal_range(vd.removes.begin(),
-                                               vd.removes.end(), delta.dst);
-      const uint64_t prior = static_cast<uint64_t>(rhi - rlo);
-      const uint64_t slot =
-          static_cast<uint64_t>(lo - targets.begin()) + prior;
-      removed_weight = base_.is_weighted()
-                           ? base_.out_weights(delta.src)[slot]
-                           : 1.0f;
-      vd.removes.insert(rhi, delta.dst);
-      ++overlay_entries_;
-    }
-    --edge_count_delta_;
-    version_fp_ -= Graph::EdgeHash(delta.src, delta.dst, removed_weight);
-    if (vd.adds.empty() && vd.removes.empty()) overlay_.erase(delta.src);
   }
 
-  if (overlay_entries_ >
-      CompactionThreshold(compaction_threshold_, base_.num_edges())) {
-    return Compact();
-  }
-  return Status::OK();
-}
-
-Status EvolvingGraph::Compact() {
-  if (!dirty()) return Status::OK();
-
-  // Everything below builds the fresh CSR off to the side; the members
-  // are not touched until the very end (strong exception safety — a
-  // fault leaves the current version fully intact).
+  // Everything below builds the next version off to the side; the
+  // members are not touched until the very end, so any error leaves the
+  // current version as it was.
   //
-  // 1. Merge the overlay's rows in ascending order, keeping the ones
-  // whose content changed (a delete re-inserted at its old weight nets
-  // out): the version's dirty set.
-  std::vector<VertexId> overlay_rows;
-  overlay_rows.reserve(overlay_.size());
-  for (const auto& entry : overlay_) overlay_rows.push_back(entry.first);
-  std::sort(overlay_rows.begin(), overlay_rows.end());
+  // 1. Visit the touched out-rows in ascending order and replay each
+  // one's operations, in batch order, on a copy of the row. Keep the
+  // rows whose content changed (a delete re-inserted at its old weight
+  // nets out): the version's dirty set.
+  std::vector<size_t> order(batch.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return batch[a].src < batch[b].src;
+  });
   std::vector<VertexId> dirty;
   std::vector<uint64_t> row_offsets{0};
   std::vector<VertexId> row_targets;
   std::vector<float> row_weights;
-  uint64_t non_unit_weights = base_non_unit_weights_;
-  for (const VertexId v : overlay_rows) {
+  uint64_t e_count = current_.num_edges();  // modular: the sum is exact
+  uint64_t non_unit_weights = non_unit_weights_;
+  std::vector<std::pair<VertexId, float>> row;
+  for (size_t i = 0; i < order.size();) {
+    const VertexId v = batch[order[i]].src;
+    const std::span<const VertexId> old_targets = current_.out_neighbors(v);
+    const std::span<const float> old_weights =
+        current_.is_weighted() ? current_.out_weights(v)
+                               : std::span<const float>{};
+    row.clear();
+    for (size_t k = 0; k < old_targets.size(); ++k) {
+      row.emplace_back(old_targets[k],
+                       old_weights.empty() ? 1.0f : old_weights[k]);
+    }
+    for (; i < order.size() && batch[order[i]].src == v; ++i) {
+      const EdgeDelta& delta = batch[order[i]];
+      if (delta.op == EdgeDelta::Op::kInsert) {
+        const std::pair<VertexId, float> entry{delta.dst, delta.weight};
+        row.insert(std::upper_bound(row.begin(), row.end(), entry,
+                                    CanonicalLess),
+                   entry);
+        continue;
+      }
+      // A delete removes the first (dst, *) edge in canonical order: the
+      // one with the lowest weight bits.
+      const auto it = std::lower_bound(
+          row.begin(), row.end(), delta.dst,
+          [](const auto& e, VertexId d) { return e.first < d; });
+      if (it == row.end() || it->first != delta.dst) {
+        return OffendingEdge("delete of a non-existent edge", delta.src,
+                             delta.dst);
+      }
+      row.erase(it);
+    }
     const size_t begin = row_targets.size();
-    ForEachOutEdge(v, [&](VertexId dst, float w) {
+    for (const auto& [dst, w] : row) {
       row_targets.push_back(dst);
       row_weights.push_back(w);
-    });
-    const std::span<const VertexId> old_targets = base_.out_neighbors(v);
-    const std::span<const float> old_weights =
-        base_.is_weighted() ? base_.out_weights(v) : std::span<const float>{};
+    }
     const std::span<const VertexId> new_targets(row_targets.data() + begin,
-                                                row_targets.size() - begin);
+                                                row.size());
     const std::span<const float> new_weights(row_weights.data() + begin,
-                                             row_weights.size() - begin);
+                                             row.size());
     if (std::equal(old_targets.begin(), old_targets.end(),
                    new_targets.begin(), new_targets.end()) &&
         SameRowWeights(old_weights, new_weights)) {
@@ -358,6 +253,7 @@ Status EvolvingGraph::Compact() {
     }
     dirty.push_back(v);
     row_offsets.push_back(row_targets.size());
+    e_count += new_targets.size() - old_targets.size();
     non_unit_weights += CountNonUnitWeights(new_weights);
     non_unit_weights -= CountNonUnitWeights(old_weights);
   }
@@ -371,7 +267,7 @@ Status EvolvingGraph::Compact() {
   };
   std::vector<InChange> changes;
   for (size_t i = 0; i < dirty.size(); ++i) {
-    const std::span<const VertexId> a = base_.out_neighbors(dirty[i]);
+    const std::span<const VertexId> a = current_.out_neighbors(dirty[i]);
     const std::span<const VertexId> b(row_targets.data() + row_offsets[i],
                                       row_offsets[i + 1] - row_offsets[i]);
     size_t ai = 0;
@@ -399,7 +295,7 @@ Status EvolvingGraph::Compact() {
   std::vector<VertexId> in_row_sources;
   for (size_t c = 0; c < changes.size();) {
     const VertexId t = changes[c].target;
-    const std::span<const VertexId> old_sources = base_.in_neighbors(t);
+    const std::span<const VertexId> old_sources = current_.in_neighbors(t);
     size_t k = 0;
     while (k < old_sources.size() ||
            (c < changes.size() && changes[c].target == t)) {
@@ -418,38 +314,37 @@ Status EvolvingGraph::Compact() {
     in_row_offsets.push_back(in_row_sources.size());
   }
 
-  // 3. Splice: bulk-copy the clean row ranges of the base arrays around
-  // the replaced rows, then derive the fingerprint from the base's by
-  // swapping only the dirty rows' terms.
-  std::optional<Graph> fresh;
-  uint64_t fingerprint_sum = base_fingerprint_sum_;
+  // 3. Splice: bulk-copy the clean row ranges of the current arrays
+  // around the replaced rows, then derive the fingerprint from the
+  // current one by swapping only the dirty rows' terms.
+  std::optional<Graph> next;
+  uint64_t fingerprint_sum = fingerprint_sum_;
   if (!dirty.empty()) {
-    const uint64_t e_count = num_edges();
     std::vector<float> out_weights;
     if (non_unit_weights != 0) {
-      out_weights = SpliceValues(base_.out_offsets(), base_.out_weights(),
-                                 1.0f, dirty, row_offsets, row_weights,
-                                 e_count);
+      out_weights = SpliceValues(current_.out_offsets(),
+                                 current_.out_weights(), 1.0f, dirty,
+                                 row_offsets, row_weights, e_count);
     }
-    fresh = Graph::FromCsr(
-        SpliceOffsets(base_.out_offsets(), dirty, row_offsets),
-        SpliceValues(base_.out_offsets(), base_.out_targets(), VertexId{0},
-                     dirty, row_offsets, row_targets, e_count),
+    next = Graph::FromCsr(
+        SpliceOffsets(current_.out_offsets(), dirty, row_offsets),
+        SpliceValues(current_.out_offsets(), current_.out_targets(),
+                     VertexId{0}, dirty, row_offsets, row_targets, e_count),
         std::move(out_weights),
-        SpliceOffsets(base_.in_offsets(), in_rows, in_row_offsets),
-        SpliceValues(base_.in_offsets(), base_.in_sources(), VertexId{0},
-                     in_rows, in_row_offsets, in_row_sources, e_count));
+        SpliceOffsets(current_.in_offsets(), in_rows, in_row_offsets),
+        SpliceValues(current_.in_offsets(), current_.in_sources(),
+                     VertexId{0}, in_rows, in_row_offsets, in_row_sources,
+                     e_count));
     for (const VertexId v : dirty) {
-      fingerprint_sum += fresh->OutRowHash(v) - base_.OutRowHash(v);
+      fingerprint_sum += next->OutRowHash(v) - current_.OutRowHash(v);
     }
-    assert(fresh->EdgeSetHash() == VersionFingerprint());
-    fresh->StampVersion(fingerprint_sum,
-                        std::make_shared<const GraphLineage>(GraphLineage{
-                            base_.Fingerprint(), std::move(dirty)}));
+    next->StampVersion(fingerprint_sum,
+                       std::make_shared<const GraphLineage>(GraphLineage{
+                           current_.Fingerprint(), std::move(dirty)}));
   }
 
   // The fault point sits between building and installing: an injected
-  // compaction fault can never leave a half-built CSR visible.
+  // fault can never leave a half-built version visible.
   {
     const Status faulted = [&]() -> Status {
       PREDICT_FAIL_POINT("graph.compact");
@@ -458,92 +353,14 @@ Status EvolvingGraph::Compact() {
     if (!faulted.ok()) return StatusAnnotate(faulted, "graph_compact");
   }
 
-  // An overlay that nets out to no row change keeps the base (and its
-  // lineage) as the current version.
-  if (fresh.has_value()) {
-    base_ = std::move(*fresh);
-    base_fingerprint_sum_ = fingerprint_sum;
-    base_non_unit_weights_ = non_unit_weights;
+  // A batch that changes no row keeps the current version (and its
+  // lineage).
+  if (next.has_value()) {
+    current_ = std::move(*next);
+    fingerprint_sum_ = fingerprint_sum;
+    non_unit_weights_ = non_unit_weights;
   }
-  overlay_.clear();
-  overlay_entries_ = 0;
-  edge_count_delta_ = 0;
   return Status::OK();
-}
-
-Result<const Graph*> EvolvingGraph::Current() {
-  if (dirty()) {
-    const Status compacted = Compact();
-    if (!compacted.ok()) return compacted;
-  }
-  return &base_;
-}
-
-Result<SubgraphResult> InducedSubgraph(const EvolvingGraph& graph,
-                                       const std::vector<VertexId>& vertices) {
-  // Mirrors transforms.cc's CSR-native InducedSubgraph, reading parent
-  // adjacency through the merged view instead of a compacted CSR — the
-  // outputs are byte-identical because both consume rows in canonical
-  // order.
-  const uint64_t v_count = graph.num_vertices();
-  const uint64_t k = vertices.size();
-  constexpr VertexId kAbsent = 0xFFFFFFFFu;
-
-  std::vector<VertexId> new_id(v_count, kAbsent);
-  for (uint64_t i = 0; i < k; ++i) {
-    const VertexId v = vertices[i];
-    if (v >= v_count) {
-      return Status::InvalidArgument("sampled vertex " + std::to_string(v) +
-                                     " out of range");
-    }
-    if (new_id[v] != kAbsent) {
-      return Status::InvalidArgument("duplicate vertex " + std::to_string(v) +
-                                     " in sample");
-    }
-    new_id[v] = static_cast<VertexId>(i);
-  }
-
-  std::vector<uint64_t> out_offsets(k + 1, 0);
-  std::vector<uint64_t> in_offsets(k + 1, 0);
-  for (uint64_t i = 0; i < k; ++i) {
-    graph.ForEachOutNeighbor(vertices[i], [&](VertexId t) {
-      const VertexId j = new_id[t];
-      if (j == kAbsent) return;
-      out_offsets[i + 1]++;
-      in_offsets[j + 1]++;
-    });
-  }
-  for (uint64_t i = 0; i < k; ++i) {
-    out_offsets[i + 1] += out_offsets[i];
-    in_offsets[i + 1] += in_offsets[i];
-  }
-  const uint64_t kept = out_offsets[k];
-
-  std::vector<VertexId> out_targets(kept);
-  std::vector<float> out_weights(kept);
-  std::vector<VertexId> in_sources(kept);
-  std::vector<uint64_t> in_cursor(in_offsets.begin(), in_offsets.end() - 1);
-  bool any_weight = false;
-  uint64_t out_slot = 0;
-  for (uint64_t i = 0; i < k; ++i) {
-    graph.ForEachOutEdge(vertices[i], [&](VertexId t, float w) {
-      const VertexId j = new_id[t];
-      if (j == kAbsent) return;
-      out_targets[out_slot] = j;
-      out_weights[out_slot] = w;
-      any_weight |= w != 1.0f;
-      ++out_slot;
-      in_sources[in_cursor[j]++] = static_cast<VertexId>(i);
-    });
-  }
-  if (!any_weight) out_weights.clear();
-
-  SubgraphResult result;
-  result.original_id = vertices;
-  result.graph = Graph::FromCsr(std::move(out_offsets), std::move(out_targets),
-                                std::move(out_weights), std::move(in_offsets),
-                                std::move(in_sources));
-  return result;
 }
 
 std::vector<VertexId> DirtyOutVertices(const Graph& before,

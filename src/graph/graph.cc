@@ -260,7 +260,7 @@ uint64_t Graph::EdgeStorageBytes() const {
 
 namespace {
 
-// splitmix64 finalizer: the mixer behind EdgeHash and the row hashes.
+// splitmix64 finalizer: the mixer behind the row hashes.
 inline uint64_t Mix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -349,35 +349,6 @@ void Graph::StampVersion(uint64_t fingerprint_sum,
 
 uint64_t Graph::FingerprintComputationsForTest() {
   return g_fingerprint_computations.load(std::memory_order_relaxed);
-}
-
-uint64_t Graph::EdgeHash(VertexId src, VertexId dst, float weight) {
-  uint32_t wbits;
-  static_assert(sizeof(wbits) == sizeof(weight));
-  std::memcpy(&wbits, &weight, sizeof(wbits));
-  const uint64_t endpoints =
-      (static_cast<uint64_t>(src) << 32) | static_cast<uint64_t>(dst);
-  // Two dependent mixing rounds: a single splitmix of the packed word
-  // leaves additive structure that a *sum* of hashes would expose.
-  return Mix64(Mix64(endpoints) ^ (static_cast<uint64_t>(wbits) + 0x51ED270B));
-}
-
-uint64_t Graph::EdgeSetHash() const {
-  const uint64_t v_count = num_vertices();
-  uint64_t sum = Mix64(v_count ^ 0xE0D1F1A6C5B49382ULL);
-  std::vector<VertexId> scratch;
-  for (uint64_t v = 0; v < v_count; ++v) {
-    const auto targets = OutNeighborsInto(static_cast<VertexId>(v), &scratch);
-    const std::span<const float> weights =
-        is_weighted_ ? out_weights(static_cast<VertexId>(v))
-                     : std::span<const float>{};
-    for (size_t i = 0; i < targets.size(); ++i) {
-      sum += EdgeHash(static_cast<VertexId>(v), targets[i],
-                      is_weighted_ ? weights[i] : 1.0f);
-    }
-  }
-  if (sum == 0) sum = 1;
-  return sum;
 }
 
 std::string Graph::ToString() const {

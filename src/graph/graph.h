@@ -47,11 +47,11 @@ struct Edge {
   }
 };
 
-/// How an EvolvingGraph compaction derived a version from its parent
+/// How EvolvingGraph::Apply derived a version from its parent
 /// (graph/delta.h). Copies and moves of the Graph carry it, like the
 /// fingerprint memo.
 struct GraphLineage {
-  /// Fingerprint() of the version this one was compacted from.
+  /// Fingerprint() of the version this one was built from.
   uint64_t parent_fingerprint = 0;
   /// Vertices whose out-row (targets or weights) differs from the
   /// parent's, ascending: exactly DirtyOutVertices(parent, *this).
@@ -236,29 +236,18 @@ class Graph {
   /// check compares.
   uint64_t EdgeStorageBytes() const;
 
-  /// Hash of one directed edge, the commutative building block of the
-  /// order-independent edge-set hash below: EdgeSetHash sums these mod
-  /// 2^64, and graph/delta.h's version chain adds/subtracts them per
-  /// mutation so any batch interleaving reaching the same edge set
-  /// reaches the same version fingerprint.
-  static uint64_t EdgeHash(VertexId src, VertexId dst, float weight);
-
-  /// Order-independent 64-bit hash of the edge *multiset* (plus |V|):
-  /// unlike Fingerprint(), two graphs whose adjacency lists hold the
-  /// same edges in different CSR order hash equal. O(V + E), never
-  /// memoized — computed once per EvolvingGraph as the anchor of its
-  /// incremental version chain. Never returns 0.
-  uint64_t EdgeSetHash() const;
-
   /// Stable 64-bit content hash of the graph structure: a |V| term plus
   /// the sum (mod 2^64) of one hash per out-row, each hashing the row's
   /// vertex id, degree and (target, weight bits) sequence in CSR order,
   /// one 64-bit word per edge (unweighted rows hash weight 1.0). So the
   /// hash is order-sensitive within a row, and a version whose rows
   /// changed can be re-hashed from its parent's value by swapping only
-  /// those rows' terms — what EvolvingGraph compaction does. It is
+  /// those rows' terms — what EvolvingGraph::Apply does. It is
   /// independent of how the Graph was constructed, including whether
-  /// edges are compressed: plain and compressed copies hash equal.
+  /// edges are compressed: plain and compressed copies hash equal. On
+  /// canonical graphs (EvolvingGraph::Canonicalize, and every version an
+  /// EvolvingGraph holds) equal edge multisets mean equal bytes, so there
+  /// the fingerprint identifies the edge multiset.
   /// Distinct structures collide only with 64-bit-hash probability (the
   /// hash is not cryptographic — callers building cache keys on it
   /// should also key on |V|/|E|, as pipeline::SampleKey does). Never
@@ -277,8 +266,8 @@ class Graph {
   /// start. Test-only observability for the memoization contract.
   static uint64_t FingerprintComputationsForTest();
 
-  /// The lineage of a version produced by EvolvingGraph compaction (or a
-  /// copy of one); null for every other graph.
+  /// The lineage of a version built by EvolvingGraph::Apply (or a copy
+  /// of one); null for every other graph.
   const GraphLineage* lineage() const { return lineage_.get(); }
 
   /// Human-readable one-line summary, e.g. "Graph(|V|=100000, |E|=854301)".

@@ -211,11 +211,7 @@ Result<std::vector<VertexId>> RunSegmentedKind(const Graph& graph,
 std::vector<VertexId> RunBiasedRandomJump(const Graph& graph,
                                           const SamplerOptions& options,
                                           uint64_t target) {
-  const uint64_t n = graph.num_vertices();
-  const uint64_t k = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::llround(options.seed_fraction *
-                                            static_cast<double>(n))));
-  const std::vector<VertexId> seeds = TopOutDegreeSeeds(graph, k);
+  const std::vector<VertexId> seeds = BrjSeeds(graph, options);
   return JumpWalk(graph, options, target, [&seeds](Rng& rng) {
     return seeds[rng.Uniform(seeds.size())];
   });
@@ -421,7 +417,6 @@ Result<Sample> SampleGraphRecorded(const Graph& graph,
   record->options = options;
   record->graph_fingerprint = graph.Fingerprint();
   record->num_vertices = graph.num_vertices();
-  record->num_edges = graph.num_edges();
   record->supports_incremental =
       options.walk_segment_steps != 0 &&
       (options.kind == SamplerKind::kRandomJump ||
@@ -523,7 +518,6 @@ Result<IncrementalSampleResult> ResampleIncremental(
   updated->options = options;
   updated->graph_fingerprint = graph.Fingerprint();
   updated->num_vertices = n;
-  updated->num_edges = graph.num_edges();
   updated->supports_incremental = true;
   updated->brj_seeds = std::move(seeds);
   updated->segment_offsets = std::move(offsets);

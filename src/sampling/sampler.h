@@ -105,7 +105,6 @@ struct SampleWalkRecord {
   /// Graph::Fingerprint() of the graph this record was walked on.
   uint64_t graph_fingerprint = 0;
   uint64_t num_vertices = 0;
-  uint64_t num_edges = 0;
   /// True iff the walk was segmented (walk_segment_steps > 0, RJ/BRJ);
   /// false means ResampleIncremental always falls back to a full
   /// resample.

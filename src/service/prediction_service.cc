@@ -109,7 +109,7 @@ Result<PredictionService::SamplePtr> PredictionService::ComputeSample(
     prev.swap(incremental_record_);
   }
 
-  // A version compacted from the graph the record was walked on re-walks
+  // A version built from the graph the record was walked on re-walks
   // only the segments its lineage's dirty rows touch; past ~25% dirty
   // vertices the splice check itself stops paying. Any other graph
   // walks from scratch.

@@ -27,9 +27,10 @@
 //
 // Evolving graphs: when predictor.sampler.walk_segment_steps > 0, the
 // service keeps the walk record of the last graph it sampled, and a
-// sample-cache miss for a version EvolvingGraph compacted from that graph
-// (see GraphLineage) re-walks only the segments its changed rows touch —
-// bit-identical to the from-scratch walk every other graph gets.
+// sample-cache miss for the EvolvingGraph version Apply built next from
+// that graph (see GraphLineage) re-walks only the segments its changed
+// rows touch — bit-identical to the from-scratch walk every other graph
+// gets.
 //
 // Determinism contract: every stage is deterministic, so a report served
 // from warm caches under any concurrency is bit-identical to a cold

@@ -699,88 +699,58 @@ class ChaosDeltaCompactionTest : public ::testing::Test {
  protected:
   void SetUp() override { fail::DisableAll(); }
   void TearDown() override { fail::DisableAll(); }
-
-  static std::vector<Edge> MergedEdges(const EvolvingGraph& g) {
-    std::vector<Edge> edges;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      g.ForEachOutEdge(v, [&](VertexId dst, float w) {
-        edges.push_back({v, dst, w});
-      });
-    }
-    return edges;
-  }
 };
 
 TEST_F(ChaosDeltaCompactionTest, ExplicitCompactFaultIsStrongExceptionSafe) {
   EvolvingGraph g(TestGraph(200, 43));
-  g.set_compaction_threshold(1e9);
-  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 7), EdgeDelta::Insert(3, 9)}).ok());
-  const uint64_t fp = g.VersionFingerprint();
-  const uint64_t base_fp = g.base().Fingerprint();
-  const std::vector<Edge> before = MergedEdges(g);
+  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(5, 6)}).ok());  // has a lineage
+  EvolvingGraph unfaulted = g;
+  const EdgeDeltaBatch batch = {EdgeDelta::Insert(0, 7),
+                                EdgeDelta::Insert(3, 9)};
+  const Graph& version = **g.Current();
+  const uint64_t fp = version.Fingerprint();
+  const GraphLineage* lineage = version.lineage();
+  const std::vector<Edge> before = version.ToEdgeList();
+  ASSERT_NE(lineage, nullptr);
 
   ASSERT_TRUE(fail::Configure("graph.compact", "once").ok());
-  const Status faulted = g.Compact();
+  const Status faulted = g.Apply(batch);
   EXPECT_FALSE(faulted.ok());
   EXPECT_NE(faulted.message().find("graph_compact"), std::string::npos)
       << faulted.message();
-  // Nothing changed: base untouched, overlay intact, version stable.
-  EXPECT_TRUE(g.dirty());
-  EXPECT_EQ(g.base().Fingerprint(), base_fp);
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ(MergedEdges(g), before);
+  // Nothing changed: same version, same lineage, same edges.
+  EXPECT_EQ((*g.Current())->Fingerprint(), fp);
+  EXPECT_EQ((*g.Current())->lineage(), lineage);
+  EXPECT_EQ((*g.Current())->ToEdgeList(), before);
 
-  // The retry (fail point consumed) folds the same overlay in cleanly.
-  ASSERT_TRUE(g.Compact().ok());
-  EXPECT_FALSE(g.dirty());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ(g.base().EdgeSetHash(), fp);
-  EXPECT_EQ(MergedEdges(g), before);
-}
-
-TEST_F(ChaosDeltaCompactionTest, FaultedAutoCompactionKeepsBatchApplied) {
-  EvolvingGraph g(TestGraph(100, 47));
-  g.set_compaction_threshold(0.0);  // every Apply trips auto-compaction
-  ASSERT_TRUE(fail::Configure("graph.compact", "once").ok());
-
-  EdgeDeltaBatch batch;
-  for (VertexId v = 0; v < 70; ++v) batch.push_back(EdgeDelta::Insert(v, 99));
-  const Status faulted = g.Apply(batch);
-  EXPECT_FALSE(faulted.ok());
-  // The batch is fully applied (version + merged view reflect it); only
-  // the fold into a fresh CSR is pending.
-  EXPECT_TRUE(g.dirty());
-  EXPECT_EQ(g.overlay_edges(), 70u);
-  uint64_t in99 = 0;
-  for (VertexId v = 0; v < 70; ++v) {
-    g.ForEachOutNeighbor(v, [&](VertexId d) { in99 += d == 99 ? 1 : 0; });
-  }
-  EXPECT_GE(in99, 70u);
-  const uint64_t fp = g.VersionFingerprint();
-
-  // Retry through Current(): compacts, preserving the version.
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ((*current)->EdgeSetHash(), fp);
+  // The retry (fail point consumed) reaches the version an unfaulted
+  // graph reaches.
+  ASSERT_TRUE(g.Apply(batch).ok());
+  ASSERT_TRUE(unfaulted.Apply(batch).ok());
+  const Graph& retried = **g.Current();
+  const Graph& expected = **unfaulted.Current();
+  EXPECT_EQ(retried.Fingerprint(), expected.Fingerprint());
+  EXPECT_EQ(retried.ToEdgeList(), expected.ToEdgeList());
+  ASSERT_NE(retried.lineage(), nullptr);
+  EXPECT_EQ(retried.lineage()->parent_fingerprint, fp);
+  EXPECT_EQ(retried.lineage()->dirty, expected.lineage()->dirty);
 }
 
 TEST_F(ChaosDeltaCompactionTest, CachesKeyedOnVersionNeverSeeTornState) {
-  // A cache keyed on VersionFingerprint is sound iff every read of a
-  // given version yields identical bytes, no matter how many faulted
-  // compactions happen in between. Walk the graph through mutate ->
-  // faulted compact -> read -> retry -> read and demand one consistent
+  // A cache keyed on the version's Fingerprint() is sound iff every read
+  // of a given version yields identical bytes, no matter how many
+  // faulted Applys happen in between. Walk the graph through mutate ->
+  // faulted mutate -> read -> retry -> read and demand one consistent
   // edge list per version.
   EvolvingGraph g(TestGraph(150, 53));
-  g.set_compaction_threshold(1e9);
   std::unordered_map<uint64_t, std::vector<Edge>> cache;
-  const auto observe = [&](const EvolvingGraph& graph) {
-    const std::vector<Edge> edges = MergedEdges(graph);
-    const auto [it, inserted] =
-        cache.emplace(graph.VersionFingerprint(), edges);
+  const auto observe = [&](EvolvingGraph& graph) {
+    const Graph& version = **graph.Current();
+    const std::vector<Edge> edges = version.ToEdgeList();
+    const auto [it, inserted] = cache.emplace(version.Fingerprint(), edges);
     if (!inserted) {
       EXPECT_EQ(it->second, edges)
-          << "two reads of version " << graph.VersionFingerprint()
+          << "two reads of version " << version.Fingerprint()
           << " observed different edge sets";
     }
   };
@@ -790,14 +760,11 @@ TEST_F(ChaosDeltaCompactionTest, CachesKeyedOnVersionNeverSeeTornState) {
   observe(g);
 
   ASSERT_TRUE(fail::Configure("graph.compact", "times:2").ok());
-  EXPECT_FALSE(g.Compact().ok());
+  EXPECT_FALSE(g.Apply({EdgeDelta::Delete(1, 2)}).ok());
   observe(g);  // post-fault read: same version, same bytes
-  EXPECT_FALSE(g.Compact().ok());
+  EXPECT_FALSE(g.Apply({EdgeDelta::Delete(1, 2)}).ok());
   observe(g);
-  ASSERT_TRUE(g.Compact().ok());  // third attempt succeeds
-  observe(g);  // compacted read of the same version: same bytes
-
-  ASSERT_TRUE(g.Apply({EdgeDelta::Delete(1, 2)}).ok());
+  ASSERT_TRUE(g.Apply({EdgeDelta::Delete(1, 2)}).ok());  // third attempt
   observe(g);
   EXPECT_EQ(cache.size(), 3u);  // 3 distinct versions were reached
 }

@@ -1,19 +1,18 @@
-// Tests for graph/delta.h: the delta overlay, versioned fingerprints,
-// canonicalization, compaction, churn generation, and the merged-view
-// transforms backing incremental re-prediction.
+// Tests for graph/delta.h: applying delta batches, version
+// fingerprints and lineage, canonicalization, the dirty set, and churn
+// generation backing incremental re-prediction.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
-#include "graph/transforms.h"
 
 namespace predict {
 namespace {
@@ -43,16 +42,8 @@ Graph RandomGraph(VertexId n, uint64_t num_edges, uint64_t seed,
   return g.MoveValue();
 }
 
-// Materializes the merged view of every row as an edge list.
-std::vector<Edge> MergedEdges(const EvolvingGraph& g) {
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    g.ForEachOutEdge(v, [&](VertexId dst, float w) {
-      edges.push_back({v, dst, w});
-    });
-  }
-  return edges;
-}
+// The current version of `g`.
+const Graph& Version(EvolvingGraph& g) { return **g.Current(); }
 
 // ------------------------------------------------------------ canonical
 
@@ -61,9 +52,11 @@ TEST(DeltaCanonicalizeTest, SortsRowsAndPreservesEdgeSet) {
                              {2, 1, 1.0f}, {2, 0, 1.0f}};
   auto g = Graph::FromEdges(4, edges);
   ASSERT_TRUE(g.ok());
-  const uint64_t edge_hash = g->EdgeSetHash();
   const Graph canon = EvolvingGraph::Canonicalize(g.MoveValue());
-  EXPECT_EQ(canon.EdgeSetHash(), edge_hash);
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+  });
+  EXPECT_EQ(canon.ToEdgeList(), edges);
   for (VertexId v = 0; v < canon.num_vertices(); ++v) {
     const auto row = canon.out_neighbors(v);
     EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
@@ -84,36 +77,33 @@ TEST(DeltaCanonicalizeTest, EqualEdgeSetsCanonicalizeIdentically) {
             EvolvingGraph::Canonicalize(gb.MoveValue()).Fingerprint());
 }
 
-// ------------------------------------------------------------- overlay
+// --------------------------------------------------------------- apply
 
 TEST(DeltaOverlayTest, InsertShowsUpInMergedView) {
   EvolvingGraph g(MakeChain(4));
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 3)}).ok());
   EXPECT_EQ(g.num_edges(), 4u);
-  EXPECT_EQ(g.out_degree(0), 2u);
-  EXPECT_TRUE(g.dirty());
-  std::vector<VertexId> row;
-  g.ForEachOutNeighbor(0, [&](VertexId d) { row.push_back(d); });
-  EXPECT_EQ(row, (std::vector<VertexId>{1, 3}));
+  const auto row = Version(g).out_neighbors(0);
+  EXPECT_EQ(std::vector<VertexId>(row.begin(), row.end()),
+            (std::vector<VertexId>{1, 3}));
 }
 
 TEST(DeltaOverlayTest, DeleteRemovesFromMergedView) {
   EvolvingGraph g(MakeChain(4));
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(1, 2)}).ok());
   EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_EQ(g.out_degree(1), 0u);
-  std::vector<VertexId> scratch;
-  EXPECT_TRUE(g.OutNeighborsInto(1, &scratch).empty());
+  EXPECT_EQ(Version(g).out_degree(1), 0u);
+  EXPECT_EQ(Version(g).in_degree(2), 0u);
 }
 
 TEST(DeltaOverlayTest, DeleteCancelsPendingInsert) {
   EvolvingGraph g(MakeChain(3));
-  const uint64_t fp0 = g.VersionFingerprint();
+  const uint64_t fp0 = Version(g).Fingerprint();
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 2)}).ok());
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 2)}).ok());
   EXPECT_EQ(g.num_edges(), 2u);
   // The insert/delete pair restores the previous version's identity.
-  EXPECT_EQ(g.VersionFingerprint(), fp0);
+  EXPECT_EQ(Version(g).Fingerprint(), fp0);
 }
 
 TEST(DeltaOverlayTest, ParallelEdgeDeleteConsumesOneOccurrence) {
@@ -122,47 +112,56 @@ TEST(DeltaOverlayTest, ParallelEdgeDeleteConsumesOneOccurrence) {
   EvolvingGraph g(base.MoveValue());
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1)}).ok());
   EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_EQ(g.out_degree(0), 1u);
+  EXPECT_EQ(Version(g).out_degree(0), 1u);
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1)}).ok());
-  EXPECT_EQ(g.out_degree(0), 0u);
-}
-
-TEST(DeltaOverlayTest, MergedViewMatchesCompactedGraph) {
-  EvolvingGraph g(RandomGraph(40, 200, 7));
-  g.set_compaction_threshold(1e9);  // keep the overlay pending
-  Rng rng(11);
-  EdgeDeltaBatch batch;
-  for (int i = 0; i < 30; ++i) {
-    batch.push_back(EdgeDelta::Insert(static_cast<VertexId>(rng.Uniform(40)),
-                                      static_cast<VertexId>(rng.Uniform(40))));
-  }
-  ASSERT_TRUE(g.Apply(batch).ok());
-  ASSERT_TRUE(g.dirty());
-  const std::vector<Edge> overlaid = MergedEdges(g);
-  const uint64_t fp = g.VersionFingerprint();
-  auto current = g.Current();  // compacts
-  ASSERT_TRUE(current.ok());
-  EXPECT_FALSE(g.dirty());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ((*current)->EdgeSetHash(), fp);
-  EXPECT_EQ(MergedEdges(g), overlaid);
-  EXPECT_EQ((*current)->ToEdgeList(), overlaid);
+  EXPECT_EQ(Version(g).out_degree(0), 0u);
 }
 
 TEST(DeltaOverlayTest, WeightedInsertsMergeInCanonicalOrder) {
   auto base = Graph::FromEdges(2, {{0, 1, 2.0f}});
   ASSERT_TRUE(base.ok());
   EvolvingGraph g(base.MoveValue());
-  g.set_compaction_threshold(1e9);
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 1, 1.0f),
                        EdgeDelta::Insert(0, 1, 3.0f)}).ok());
-  std::vector<float> weights;
-  g.ForEachOutEdge(0, [&](VertexId, float w) { weights.push_back(w); });
-  EXPECT_EQ(weights, (std::vector<float>{1.0f, 2.0f, 3.0f}));
-  const std::vector<Edge> overlaid = MergedEdges(g);
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ((*current)->ToEdgeList(), overlaid);
+  const auto weights = Version(g).out_weights(0);
+  EXPECT_EQ(std::vector<float>(weights.begin(), weights.end()),
+            (std::vector<float>{1.0f, 2.0f, 3.0f}));
+}
+
+// A delete removes the (src, dst) edge with the lowest weight bits in the
+// version the batch's earlier operations reached, so splitting a batch or
+// reading the graph between batches cannot change the version.
+TEST(DeltaApplyTest, SameOperationsReachTheSameVersionHoweverBatched) {
+  const auto one_edge = [] {
+    auto g = Graph::FromEdges(2, {{0, 1, 1.0f}});
+    EXPECT_TRUE(g.ok());
+    return g.MoveValue();
+  };
+  const EdgeDelta insert = EdgeDelta::Insert(0, 1, 2.0f);
+  const EdgeDelta remove = EdgeDelta::Delete(0, 1);
+
+  EvolvingGraph two_batches(one_edge());
+  ASSERT_TRUE(two_batches.Apply({insert}).ok());
+  ASSERT_TRUE(two_batches.Apply({remove}).ok());
+
+  EvolvingGraph read_between(one_edge());
+  ASSERT_TRUE(read_between.Apply({insert}).ok());
+  ASSERT_TRUE(read_between.Current().ok());
+  ASSERT_TRUE(read_between.Apply({remove}).ok());
+
+  EvolvingGraph one_batch(one_edge());
+  ASSERT_TRUE(one_batch.Apply({insert, remove}).ok());
+
+  auto cold = Graph::FromEdges(2, {{0, 1, 2.0f}});
+  ASSERT_TRUE(cold.ok());
+  const Graph expected = EvolvingGraph::Canonicalize(cold.MoveValue());
+  for (EvolvingGraph* g : {&two_batches, &read_between, &one_batch}) {
+    SCOPED_TRACE(g == &two_batches    ? "two batches"
+                 : g == &read_between ? "two batches, read between"
+                                      : "one batch");
+    EXPECT_EQ(Version(*g).ToEdgeList(), (std::vector<Edge>{{0, 1, 2.0f}}));
+    EXPECT_EQ(Version(*g).Fingerprint(), expected.Fingerprint());
+  }
 }
 
 // ---------------------------------------------------------- validation
@@ -172,7 +171,7 @@ TEST(DeltaValidationTest, RejectsUnknownVertex) {
   const Status s = g.Apply({EdgeDelta::Insert(0, 9)});
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("(0 -> 9)"), std::string::npos) << s.message();
-  EXPECT_FALSE(g.dirty());
+  EXPECT_EQ(g.num_edges(), 2u);
 }
 
 TEST(DeltaValidationTest, RejectsDeleteOfMissingEdge) {
@@ -192,14 +191,18 @@ TEST(DeltaValidationTest, RejectsOverDeleteWithinOneBatch) {
 
 TEST(DeltaValidationTest, FailedBatchLeavesGraphUnchanged) {
   EvolvingGraph g(MakeChain(3));
-  const uint64_t fp = g.VersionFingerprint();
+  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(2, 0)}).ok());
+  const uint64_t fp = Version(g).Fingerprint();
+  const GraphLineage* lineage = Version(g).lineage();
+  const std::vector<Edge> edges = Version(g).ToEdgeList();
   // Valid prefix, invalid tail: nothing may stick.
   const Status s =
       g.Apply({EdgeDelta::Insert(0, 2), EdgeDelta::Delete(2, 1)});
   EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_FALSE(g.dirty());
+  EXPECT_EQ(Version(g).Fingerprint(), fp);
+  EXPECT_EQ(Version(g).lineage(), lineage);
+  EXPECT_EQ(Version(g).ToEdgeList(), edges);
+  EXPECT_EQ(g.num_edges(), 3u);
 }
 
 TEST(DeltaValidationTest, NetDeltaValidationAllowsDeleteOfBatchInsert) {
@@ -225,11 +228,11 @@ TEST(DeltaValidationTest, GraphBuilderRemovalsMatchOverlaySemantics) {
 TEST(DeltaFingerprintTest, NeverZeroAndStableAcrossCompaction) {
   EvolvingGraph g(RandomGraph(30, 120, 3));
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(1, 2)}).ok());
-  const uint64_t fp = g.VersionFingerprint();
+  const uint64_t fp = Version(g).Fingerprint();
   EXPECT_NE(fp, 0u);
-  ASSERT_TRUE(g.Compact().ok());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ(g.base().EdgeSetHash(), fp);
+  EXPECT_EQ(Version(g).Fingerprint(), fp);
+  // The stamp equals a from-scratch hash of the same structure.
+  EXPECT_EQ(EvolvingGraph::Canonicalize(Version(g)).Fingerprint(), fp);
 }
 
 TEST(DeltaFingerprintTest, OrderOfBatchesDoesNotMatter) {
@@ -239,23 +242,24 @@ TEST(DeltaFingerprintTest, OrderOfBatchesDoesNotMatter) {
   ASSERT_TRUE(a.Apply({EdgeDelta::Delete(2, 3)}).ok());
   ASSERT_TRUE(b.Apply({EdgeDelta::Delete(2, 3)}).ok());
   ASSERT_TRUE(b.Apply({EdgeDelta::Insert(0, 2)}).ok());
-  EXPECT_EQ(a.VersionFingerprint(), b.VersionFingerprint());
+  EXPECT_EQ(Version(a).Fingerprint(), Version(b).Fingerprint());
   // And both equal a cold graph built on the final edge set.
   auto cold = Graph::FromEdges(
       5, {{0, 1, 1.0f}, {1, 2, 1.0f}, {3, 4, 1.0f}, {0, 2, 1.0f}});
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(a.VersionFingerprint(), cold->EdgeSetHash());
+  EXPECT_EQ(Version(a).Fingerprint(),
+            EvolvingGraph::Canonicalize(cold.MoveValue()).Fingerprint());
 }
 
 TEST(DeltaFingerprintTest, DistinctEdgeSetsGetDistinctVersions) {
   EvolvingGraph g(MakeChain(6));
-  std::vector<uint64_t> seen = {g.VersionFingerprint()};
+  std::vector<uint64_t> seen = {Version(g).Fingerprint()};
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 3)}).ok());
-  seen.push_back(g.VersionFingerprint());
+  seen.push_back(Version(g).Fingerprint());
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(5, 0)}).ok());
-  seen.push_back(g.VersionFingerprint());
+  seen.push_back(Version(g).Fingerprint());
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1)}).ok());
-  seen.push_back(g.VersionFingerprint());
+  seen.push_back(Version(g).Fingerprint());
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
 }
@@ -263,35 +267,17 @@ TEST(DeltaFingerprintTest, DistinctEdgeSetsGetDistinctVersions) {
 TEST(DeltaFingerprintTest, WeightChangesTheVersion) {
   EvolvingGraph g(MakeChain(3));
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(2, 0, 2.0f)}).ok());
-  const uint64_t heavy = g.VersionFingerprint();
   EvolvingGraph h(MakeChain(3));
   ASSERT_TRUE(h.Apply({EdgeDelta::Insert(2, 0, 1.0f)}).ok());
-  EXPECT_NE(heavy, h.VersionFingerprint());
+  EXPECT_NE(Version(g).Fingerprint(), Version(h).Fingerprint());
 }
 
 // ---------------------------------------------------------- compaction
-
-TEST(DeltaCompactionTest, ThresholdTriggersAutoCompaction) {
-  EvolvingGraph g(RandomGraph(50, 400, 5));
-  g.set_compaction_threshold(0.25);
-  Rng rng(9);
-  // Push well past 25% of 400 base edges (and the small-overlay floor).
-  EdgeDeltaBatch batch;
-  for (int i = 0; i < 150; ++i) {
-    batch.push_back(EdgeDelta::Insert(static_cast<VertexId>(rng.Uniform(50)),
-                                      static_cast<VertexId>(rng.Uniform(50))));
-  }
-  ASSERT_TRUE(g.Apply(batch).ok());
-  EXPECT_FALSE(g.dirty());  // auto-compacted
-  EXPECT_EQ(g.base().num_edges(), 550u);
-  EXPECT_EQ(g.base().EdgeSetHash(), g.VersionFingerprint());
-}
 
 TEST(DeltaCompactionTest, CompactedBytesMatchColdCanonicalBuild) {
   Graph base = RandomGraph(32, 160, 13, /*weighted=*/true);
   std::vector<Edge> edges = base.ToEdgeList();
   EvolvingGraph g(std::move(base));
-  g.set_compaction_threshold(1e9);
   Rng rng(17);
   EdgeDeltaBatch batch;
   for (int i = 0; i < 20; ++i) {
@@ -302,13 +288,11 @@ TEST(DeltaCompactionTest, CompactedBytesMatchColdCanonicalBuild) {
     edges.push_back(e);
   }
   ASSERT_TRUE(g.Apply(batch).ok());
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
   auto cold = Graph::FromEdges(32, std::move(edges));
   ASSERT_TRUE(cold.ok());
   const Graph canon = EvolvingGraph::Canonicalize(cold.MoveValue());
-  EXPECT_EQ((*current)->Fingerprint(), canon.Fingerprint());
-  EXPECT_EQ((*current)->ToEdgeList(), canon.ToEdgeList());
+  EXPECT_EQ(Version(g).Fingerprint(), canon.Fingerprint());
+  EXPECT_EQ(Version(g).ToEdgeList(), canon.ToEdgeList());
 }
 
 TEST(DeltaCompactionTest, CurrentIsStableWhenClean) {
@@ -317,76 +301,38 @@ TEST(DeltaCompactionTest, CurrentIsStableWhenClean) {
   ASSERT_TRUE(a.ok());
   auto b = g.Current();
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);  // same pointer: no work when not dirty
-  EXPECT_EQ(*a, &g.base());
-}
-
-// Whether a 70-insert batch (past the 64-entry floor, below the default
-// 25% of the 400 base edges) trips auto-compaction under `fraction`.
-bool AutoCompactsSeventyInserts(double fraction) {
-  EvolvingGraph g(RandomGraph(100, 400, 7));
-  g.set_compaction_threshold(fraction);
-  EdgeDeltaBatch batch;
-  for (VertexId v = 0; v < 70; ++v) batch.push_back(EdgeDelta::Insert(v, 99));
-  EXPECT_TRUE(g.Apply(batch).ok());
-  return !g.dirty();
-}
-
-TEST(DeltaCompactionTest, NegativeThresholdActsAsZero) {
-  EXPECT_FALSE(AutoCompactsSeventyInserts(0.25));
-  EXPECT_TRUE(AutoCompactsSeventyInserts(0.0));
-  EXPECT_TRUE(AutoCompactsSeventyInserts(-0.5));
-  EXPECT_TRUE(
-      AutoCompactsSeventyInserts(-std::numeric_limits<double>::infinity()));
-}
-
-TEST(DeltaCompactionTest, NanThresholdActsAsZero) {
-  EXPECT_TRUE(
-      AutoCompactsSeventyInserts(std::numeric_limits<double>::quiet_NaN()));
-}
-
-TEST(DeltaCompactionTest, ThresholdPastUint64RangeSaturates) {
-  // 1e300 x 400 edges and +inf both exceed 2^64: the threshold saturates
-  // instead of converting out of range, so nothing auto-compacts.
-  EXPECT_FALSE(AutoCompactsSeventyInserts(1e300));
-  EXPECT_FALSE(
-      AutoCompactsSeventyInserts(std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(*a, *b);  // same pointer: reading builds nothing
 }
 
 // ------------------------------------------------------------- lineage
 
 TEST(DeltaLineageTest, CompactionStampsFingerprintAndLineageWithoutAScan) {
   EvolvingGraph g(MakeChain(6));
-  const uint64_t parent_fp = g.base().Fingerprint();
-  EXPECT_EQ(g.base().lineage(), nullptr);  // the base has no parent
+  const uint64_t parent_fp = Version(g).Fingerprint();
+  EXPECT_EQ(Version(g).lineage(), nullptr);  // the base has no parent
   const uint64_t scans = Graph::FingerprintComputationsForTest();
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(4, 0), EdgeDelta::Delete(1, 2)}).ok());
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
-  const uint64_t stamped = (*current)->Fingerprint();
+  const uint64_t stamped = Version(g).Fingerprint();
   EXPECT_EQ(Graph::FingerprintComputationsForTest(), scans);
-  const GraphLineage* lineage = (*current)->lineage();
+  const GraphLineage* lineage = Version(g).lineage();
   ASSERT_NE(lineage, nullptr);
   EXPECT_EQ(lineage->parent_fingerprint, parent_fp);
   EXPECT_EQ(lineage->dirty, (std::vector<VertexId>{1, 4}));
   // The stamp equals a from-scratch hash of the same structure.
-  EXPECT_EQ(stamped, EvolvingGraph::Canonicalize(**current).Fingerprint());
+  EXPECT_EQ(stamped, EvolvingGraph::Canonicalize(Version(g)).Fingerprint());
 }
 
 TEST(DeltaLineageTest, OverlayThatNetsOutKeepsTheBase) {
   EvolvingGraph g(MakeChain(4));
-  const Graph* base = &g.base();
-  const uint64_t fp = base->Fingerprint();
-  // Delete an edge and re-insert it at its old weight: the overlay is
-  // non-empty but no row changes.
+  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(3, 0)}).ok());
+  const uint64_t fp = Version(g).Fingerprint();
+  const GraphLineage* lineage = Version(g).lineage();
+  ASSERT_NE(lineage, nullptr);
+  // Delete an edge and re-insert it at its old weight: the batch is
+  // non-empty but no row changes, so the version and its lineage stay.
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1), EdgeDelta::Insert(0, 1)}).ok());
-  ASSERT_TRUE(g.dirty());
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
-  EXPECT_FALSE(g.dirty());
-  EXPECT_EQ(*current, base);
-  EXPECT_EQ((*current)->Fingerprint(), fp);
-  EXPECT_EQ((*current)->lineage(), nullptr);
+  EXPECT_EQ(Version(g).Fingerprint(), fp);
+  EXPECT_EQ(Version(g).lineage(), lineage);
 }
 
 // ----------------------------------------------------------- dirty set
@@ -447,7 +393,6 @@ TEST(DeltaChurnTest, GeneratedBatchAppliesCleanly) {
   ASSERT_TRUE(batch.ok());
   EXPECT_FALSE(batch->empty());
   EvolvingGraph g(std::move(base));
-  g.set_compaction_threshold(1e9);
   EXPECT_TRUE(g.Apply(*batch).ok());
   EXPECT_EQ(g.num_edges(), 600u);  // half deletes, half inserts
 }
@@ -493,32 +438,6 @@ TEST(DeltaChurnTest, RejectsBadOptions) {
   std::vector<uint8_t> avoid(3, 0);  // wrong size
   churn.avoid = avoid;
   EXPECT_TRUE(GenerateChurn(base, churn).status().IsInvalidArgument());
-}
-
-// ----------------------------------------------------- merged subgraph
-
-TEST(DeltaSubgraphTest, OverlaySubgraphMatchesCompacted) {
-  EvolvingGraph g(RandomGraph(45, 350, 41, /*weighted=*/true));
-  g.set_compaction_threshold(1e9);
-  auto batch = GenerateChurn(g.base(), {.fraction = 0.05, .seed = 6});
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(g.Apply(*batch).ok());
-  std::vector<VertexId> vertices = {3, 9, 14, 20, 27, 31, 44, 0};
-  auto from_overlay = InducedSubgraph(g, vertices);
-  ASSERT_TRUE(from_overlay.ok());
-  ASSERT_TRUE(g.dirty());
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
-  auto from_csr = InducedSubgraph(**current, vertices);
-  ASSERT_TRUE(from_csr.ok());
-  EXPECT_EQ(from_overlay->graph.Fingerprint(), from_csr->graph.Fingerprint());
-  EXPECT_EQ(from_overlay->graph.ToEdgeList(), from_csr->graph.ToEdgeList());
-}
-
-TEST(DeltaSubgraphTest, OverlaySubgraphValidatesInput) {
-  EvolvingGraph g(MakeChain(4));
-  EXPECT_TRUE(InducedSubgraph(g, {0, 9}).status().IsInvalidArgument());
-  EXPECT_TRUE(InducedSubgraph(g, {1, 1}).status().IsInvalidArgument());
 }
 
 }  // namespace

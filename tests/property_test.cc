@@ -11,6 +11,7 @@
 #include <iterator>
 #include <set>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -189,14 +190,43 @@ TEST(PropertyTest, PerIterationPredictionsTrackActualShape) {
 
 // ------------------------------------- delta versioning soundness sweep
 
-std::vector<Edge> MergedEdges(const EvolvingGraph& g) {
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    g.ForEachOutEdge(v, [&](VertexId dst, float w) {
-      edges.push_back({v, dst, w});
-    });
+// Canonical edge order: (src, dst, weight bits), the order ToEdgeList()
+// of a canonical graph yields.
+bool CanonicalEdgeLess(const Edge& a, const Edge& b) {
+  uint32_t aw;
+  uint32_t bw;
+  std::memcpy(&aw, &a.weight, sizeof(aw));
+  std::memcpy(&bw, &b.weight, sizeof(bw));
+  return std::tie(a.src, a.dst, aw) < std::tie(b.src, b.dst, bw);
+}
+
+// The test's own model of a version: its edges in canonical order,
+// updated by the documented operation rules. An insert adds one edge; a
+// delete removes the first (src, dst) edge in canonical order, in the
+// version the batch's earlier operations reached. `weight_choices`
+// counts the deletes that had a parallel copy of another weight left.
+void ApplyToModel(const EdgeDeltaBatch& batch, std::vector<Edge>* edges,
+                  int* weight_choices) {
+  for (const EdgeDelta& delta : batch) {
+    const Edge edge{delta.src, delta.dst, delta.weight};
+    if (delta.op == EdgeDelta::Op::kInsert) {
+      edges->insert(std::upper_bound(edges->begin(), edges->end(), edge,
+                                     CanonicalEdgeLess),
+                    edge);
+      continue;
+    }
+    const auto it = std::lower_bound(
+        edges->begin(), edges->end(), edge, [](const Edge& e, const Edge& d) {
+          return std::tie(e.src, e.dst) < std::tie(d.src, d.dst);
+        });
+    ASSERT_TRUE(it != edges->end() && it->src == delta.src &&
+                it->dst == delta.dst)
+        << "model has no edge (" << delta.src << " -> " << delta.dst << ")";
+    const auto next = it + 1;
+    *weight_choices += next != edges->end() && next->src == delta.src &&
+                       next->dst == delta.dst && next->weight != it->weight;
+    edges->erase(it);
   }
-  return edges;
 }
 
 template <typename T>
@@ -208,17 +238,18 @@ bool SameBytes(std::span<const T> a, std::span<const T> b) {
 
 // A batch steering the walk through the corner cases of splice
 // compaction, by `kind`: 10 a weighted insert (the first one flips an
-// unweighted graph to weighted), 11 a parallel copy of a present edge
-// plus a self-loop, 12 deleting every occurrence of each edge with a
+// unweighted graph to weighted), 11 two parallel copies of a present
+// edge, one at its weight and one heavier, plus a self-loop, 12 deleting every occurrence of each edge with a
 // weight other than 1.0 (the last one flips the graph back to
 // unweighted), 13 deleting a whole row, leaving it at degree 0, 14
-// deleting a present edge and re-inserting it, so its row's overlay
-// nets out (unless parallel copies differ in weight).
-EdgeDeltaBatch CornerCaseBatch(const EvolvingGraph& g, uint64_t kind,
+// deleting a present edge and re-inserting it, so its row nets out
+// (unless a parallel copy has lower weight bits). `edges` is the
+// model of the current version.
+EdgeDeltaBatch CornerCaseBatch(const std::vector<Edge>& edges,
+                               uint64_t num_vertices, uint64_t kind,
                                Rng& rng) {
-  const std::vector<Edge> edges = MergedEdges(g);
   const auto any_vertex = [&] {
-    return static_cast<VertexId>(rng.Uniform(g.num_vertices()));
+    return static_cast<VertexId>(rng.Uniform(num_vertices));
   };
   EdgeDeltaBatch batch;
   if (kind == 10) {
@@ -229,6 +260,7 @@ EdgeDeltaBatch CornerCaseBatch(const EvolvingGraph& g, uint64_t kind,
     if (!edges.empty()) {
       const Edge& e = edges[rng.Uniform(edges.size())];
       batch.push_back(EdgeDelta::Insert(e.src, e.dst, e.weight));
+      batch.push_back(EdgeDelta::Insert(e.src, e.dst, e.weight + 1.0f));
     }
     const VertexId v = any_vertex();
     batch.push_back(EdgeDelta::Insert(v, v));
@@ -255,18 +287,18 @@ EdgeDeltaBatch CornerCaseBatch(const EvolvingGraph& g, uint64_t kind,
   return batch;
 }
 
-// The version-fingerprint contract: across ANY interleaving of insert
-// batches, delete batches and compactions, two reached states have equal
-// VersionFingerprints iff their compacted edge multisets are equal. Each
-// random walk snapshots (canonical edge list, fingerprint) after every
-// batch — compacting a *copy* so the original keeps its overlay state —
-// then all snapshots from all walks are cross-compared.
+// The version-fingerprint contract: across ANY sequence of insert and
+// delete batches, two reached versions have equal Fingerprint()s iff
+// their edge multisets are equal. Each random walk keeps its own model
+// of the edges (ApplyToModel) and snapshots (model edges, fingerprint)
+// after every batch; then all snapshots from all walks are
+// cross-compared.
 //
-// Every compacted version is also checked against a cold canonical
-// rebuild of the same edges (byte-identical CSR arrays, stamped
-// Fingerprint() equal to the rebuild's from-scratch one) and against its
-// parent (lineage parent = the parent's Fingerprint(), lineage dirty set
-// = DirtyOutVertices(parent, version)).
+// Every version is also checked against a cold canonical rebuild of the
+// model's edges (byte-identical CSR arrays, stamped Fingerprint() equal
+// to the rebuild's from-scratch one) and against its parent (lineage
+// parent = the parent's Fingerprint(), lineage dirty set =
+// DirtyOutVertices(parent, version)).
 TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   const Graph base =
       GeneratePreferentialAttachment({120, 4, 0.3, 71}).MoveValue();
@@ -282,7 +314,8 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   int dirty_rows_with_parallel_edges = 0;
   int dirty_rows_with_self_loops = 0;
   int dirty_rows_emptied = 0;
-  // `version` is `parent` or a version compacted from it.
+  int weight_choices = 0;
+  // `version` is `parent` or a version built from it.
   const auto expect_derived = [&](const Graph& parent, const Graph& version) {
     const std::vector<VertexId> dirty = DirtyOutVertices(parent, version);
     if (dirty.empty()) {
@@ -320,61 +353,43 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   };
 
   // Each walk opens with the corner cases in an order that reaches both
-  // weightedness flips (insert a weight, compact, delete it), then
-  // continues at random.
-  constexpr uint64_t kOpening[] = {10, 0, 12, 11, 13, 14};
+  // weightedness flips (insert a weight, then delete it), then continues
+  // at random: kinds 1-5 insert, 6-9 delete, 10-14 are corner cases.
+  constexpr uint64_t kOpening[] = {10, 12, 11, 13, 14};
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     EvolvingGraph g(base);
+    std::vector<Edge> model = base.ToEdgeList();
+    std::sort(model.begin(), model.end(), CanonicalEdgeLess);
     Rng rng(seed * 977);
     for (size_t step = 0; step < 25; ++step) {
-      const uint64_t kind =
-          step < std::size(kOpening) ? kOpening[step] : rng.Uniform(15);
-      const Graph previous = g.base();
-      if (kind == 0) {
-        ASSERT_TRUE(g.Compact().ok());
-      } else if (kind >= 10) {
-        ASSERT_TRUE(g.Apply(CornerCaseBatch(g, kind, rng)).ok());
+      const uint64_t kind = step < std::size(kOpening) ? kOpening[step]
+                                                       : 1 + rng.Uniform(14);
+      EdgeDeltaBatch batch;
+      if (kind >= 10) {
+        batch = CornerCaseBatch(model, g.num_vertices(), kind, rng);
       } else {
-        EdgeDeltaBatch batch;
         const uint64_t batch_size = 1 + rng.Uniform(4);
         for (uint64_t i = 0; i < batch_size; ++i) {
-          if (kind < 6 || g.num_edges() == 0) {
+          if (kind < 6 || model.empty()) {
             batch.push_back(EdgeDelta::Insert(
                 static_cast<VertexId>(rng.Uniform(g.num_vertices())),
                 static_cast<VertexId>(rng.Uniform(g.num_vertices()))));
           } else {
-            // Delete a random currently-present edge (sampled off a
-            // compacted copy so the pick is valid for the live graph).
-            EvolvingGraph copy = g;
-            auto current = copy.Current();
-            ASSERT_TRUE(current.ok());
-            const std::vector<Edge> edges = (*current)->ToEdgeList();
-            const Edge& victim = edges[rng.Uniform(edges.size())];
+            const Edge& victim = model[rng.Uniform(model.size())];
             batch.push_back(EdgeDelta::Delete(victim.src, victim.dst));
           }
           // One mutation per batch when deleting: a second delete of the
           // same pick could over-delete and invalidate the batch.
           if (kind >= 6) break;
         }
-        ASSERT_TRUE(g.Apply(batch).ok());
       }
-      // g's own compactions (explicit or automatic) derive from its
-      // previous base.
-      expect_derived(previous, g.base());
-      EvolvingGraph copy = g;
-      const Graph parent = copy.base();
-      auto current = copy.Current();
-      ASSERT_TRUE(current.ok());
-      expect_derived(parent, **current);
-      expect_matches_cold(**current, MergedEdges(g));
-      Snapshot snap;
-      snap.edges = (*current)->ToEdgeList();
-      snap.fp = g.VersionFingerprint();
-      // Compaction preserves the version, and the version always equals
-      // the compacted edge set's hash.
-      EXPECT_EQ(copy.VersionFingerprint(), snap.fp);
-      EXPECT_EQ((*current)->EdgeSetHash(), snap.fp);
-      snapshots.push_back(std::move(snap));
+      const Graph parent = **g.Current();
+      ASSERT_TRUE(g.Apply(batch).ok());
+      ASSERT_NO_FATAL_FAILURE(ApplyToModel(batch, &model, &weight_choices));
+      const Graph& version = **g.Current();
+      expect_derived(parent, version);
+      expect_matches_cold(version, model);
+      snapshots.push_back({model, version.Fingerprint()});
     }
   }
   EXPECT_GT(weighted_flips, 0);
@@ -382,6 +397,7 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   EXPECT_GT(dirty_rows_with_parallel_edges, 0);
   EXPECT_GT(dirty_rows_with_self_loops, 0);
   EXPECT_GT(dirty_rows_emptied, 0);
+  EXPECT_GT(weight_choices, 0);
 
   int equal_pairs = 0;
   for (size_t i = 0; i < snapshots.size(); ++i) {
@@ -398,24 +414,6 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   // The walks share a base and revisit states (insert then delete), so
   // the iff has to have been exercised in both directions.
   EXPECT_GT(equal_pairs, 0);
-}
-
-// Insert-then-delete of the same edge is a version no-op even when a
-// compaction lands between the two mutations.
-TEST(DeltaVersioningProperty, CancellationSurvivesInterposedCompaction) {
-  const Graph base =
-      GeneratePreferentialAttachment({80, 3, 0.3, 73}).MoveValue();
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    EvolvingGraph g(base);
-    Rng rng(seed);
-    const auto src = static_cast<VertexId>(rng.Uniform(80));
-    const auto dst = static_cast<VertexId>(rng.Uniform(80));
-    const uint64_t fp0 = g.VersionFingerprint();
-    ASSERT_TRUE(g.Apply({EdgeDelta::Insert(src, dst)}).ok());
-    if (seed % 2 == 0) ASSERT_TRUE(g.Compact().ok());
-    ASSERT_TRUE(g.Apply({EdgeDelta::Delete(src, dst)}).ok());
-    EXPECT_EQ(g.VersionFingerprint(), fp0) << "seed " << seed;
-  }
 }
 
 }  // namespace

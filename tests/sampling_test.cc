@@ -291,8 +291,7 @@ std::pair<Graph, std::vector<VertexId>> Mutate(const Graph& base,
                                                double fraction,
                                                uint64_t seed) {
   EvolvingGraph evolving(base);
-  auto batch = GenerateChurn(evolving.base(),
-                             {.fraction = fraction, .seed = seed});
+  auto batch = GenerateChurn(base, {.fraction = fraction, .seed = seed});
   EXPECT_TRUE(batch.ok());
   EXPECT_TRUE(evolving.Apply(*batch).ok());
   auto current = evolving.Current();

@@ -684,9 +684,9 @@ int CmdBatch(const Flags& flags) {
   return failures == 0 ? 0 : 1;
 }
 
-// Applies deterministic seeded churn to a graph through the delta
-// overlay (graph/delta.h) and writes the compacted mutated version as
-// PRDG binary — the companion to `predict` for exercising incremental
+// Applies deterministic seeded churn to a graph as the next version of
+// an EvolvingGraph (graph/delta.h) and writes that version as PRDG
+// binary — the companion to `predict` for exercising incremental
 // re-prediction: mutate, then predict the new file.
 int CmdMutate(const Flags& flags) {
   auto graph = LoadInputGraph(flags);
@@ -705,10 +705,11 @@ int CmdMutate(const Flags& flags) {
   if (!seed.ok()) return FlagError(seed.status());
 
   EvolvingGraph evolving(std::move(graph).MoveValue());
+  const Graph* base = *evolving.Current();
   ChurnOptions churn;
   churn.fraction = *fraction;
   churn.seed = *seed;
-  auto batch = GenerateChurn(evolving.base(), churn);
+  auto batch = GenerateChurn(*base, churn);
   if (!batch.ok()) {
     std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
     return 1;
@@ -722,20 +723,15 @@ int CmdMutate(const Flags& flags) {
       ++deletes;
     }
   }
-  std::printf("base:    %s, version %016llx\n",
-              evolving.base().ToString().c_str(),
-              static_cast<unsigned long long>(evolving.VersionFingerprint()));
+  std::printf("base:    %s, version %016llx\n", base->ToString().c_str(),
+              static_cast<unsigned long long>(base->Fingerprint()));
   const Status applied = evolving.Apply(*batch);
   if (!applied.ok()) {
     std::fprintf(stderr, "%s\n", applied.ToString().c_str());
     return 1;
   }
-  auto current = evolving.Current();
-  if (!current.ok()) {
-    std::fprintf(stderr, "%s\n", current.status().ToString().c_str());
-    return 1;
-  }
-  const Status written = WriteBinaryGraphFile(**current, out);
+  const Graph* mutated = *evolving.Current();
+  const Status written = WriteBinaryGraphFile(*mutated, out);
   if (!written.ok()) {
     std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return 1;
@@ -745,8 +741,8 @@ int CmdMutate(const Flags& flags) {
               static_cast<unsigned long long>(deletes), *fraction,
               static_cast<unsigned long long>(*seed));
   std::printf("mutated: %s, version %016llx -> %s\n",
-              (*current)->ToString().c_str(),
-              static_cast<unsigned long long>(evolving.VersionFingerprint()),
+              mutated->ToString().c_str(),
+              static_cast<unsigned long long>(mutated->Fingerprint()),
               out.c_str());
   return 0;
 }
