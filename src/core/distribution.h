@@ -28,9 +28,6 @@ struct BootstrapOptions {
   /// Bootstrap replicates; more = smoother quantiles.
   int num_samples = 200;
   uint64_t seed = 0x9E3779B97F4A7C15ULL;
-
-  /// Canonical key fragment for prediction caches.
-  std::string ConfigKey() const;
 };
 
 /// \brief A predicted total runtime with uncertainty.

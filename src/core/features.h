@@ -72,9 +72,8 @@ RunProfile ProfileFromRunStats(const std::string& algorithm,
                                const bsp::RunStats& stats);
 
 /// One (features -> runtime) training observation for the cost model.
-/// `scale_out` carries the worker count of the run the row came from so
-/// the scale-out zoo members (models/scaleout_models.h) can train on it;
-/// 0 means unknown and the feature-driven paper model ignores it.
+/// `scale_out` carries the worker count of the run the row came from
+/// (0 = unknown); the feature-driven cost model ignores it.
 struct TrainingRow {
   FeatureVector features{};
   double runtime_seconds = 0.0;

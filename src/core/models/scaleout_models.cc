@@ -2,36 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 #include "core/regression.h"
 
 namespace predict::models {
 
-namespace {
-
-/// Collapses observations to (worker count, mean runtime) knots sorted by
-/// ascending worker count. Repeated runs at the same configuration average
-/// out run-to-run noise instead of double-weighting the configuration.
-std::vector<ScaleOutObservation> MeanKnots(
-    const std::vector<ScaleOutObservation>& points) {
-  std::map<double, std::pair<double, int>> by_config;
-  for (const auto& p : points) {
-    if (!(p.scale_out > 0.0) || !std::isfinite(p.runtime_seconds)) continue;
-    auto& [sum, count] = by_config[p.scale_out];
-    sum += p.runtime_seconds;
-    ++count;
+const char* ModelTierName(ModelTier tier) {
+  switch (tier) {
+    case ModelTier::kPaper:
+      return "paper";
+    case ModelTier::kMean:
+      return "mean";
+    case ModelTier::kErnest:
+      return "ernest";
   }
-  std::vector<ScaleOutObservation> knots;
-  knots.reserve(by_config.size());
-  for (const auto& [w, agg] : by_config) {
-    knots.push_back({w, agg.first / agg.second});
-  }
-  return knots;
+  return "unknown";
 }
 
-}  // namespace
+std::string ModelSelection::ToString() const {
+  std::ostringstream out;
+  out << "tier=" << ModelTierName(tier)
+      << " unique_configs=" << unique_configurations
+      << " sample_rows=" << sample_rows << " history_rows=" << history_rows
+      << " reason=\"" << reason << "\"";
+  return out.str();
+}
 
 Result<MeanModel> MeanModel::Fit(const std::vector<ScaleOutObservation>& points) {
   double sum = 0.0;
@@ -49,8 +45,7 @@ Result<MeanModel> MeanModel::Fit(const std::vector<ScaleOutObservation>& points)
   return MeanModel(sum / count);
 }
 
-double MeanModel::PredictIterationSeconds(const FeatureVector& /*features*/,
-                                          double /*scale_out*/) const {
+double MeanModel::PredictIterationSeconds(double /*scale_out*/) const {
   return std::max(0.0, mean_seconds_);
 }
 
@@ -99,8 +94,7 @@ Result<ErnestModel> ErnestModel::Fit(
   return ErnestModel(c);
 }
 
-double ErnestModel::PredictIterationSeconds(const FeatureVector& /*features*/,
-                                            double scale_out) const {
+double ErnestModel::PredictIterationSeconds(double scale_out) const {
   const auto basis = Basis(scale_out);
   double seconds = 0.0;
   for (size_t i = 0; i < basis.size(); ++i) {
@@ -113,44 +107,6 @@ std::string ErnestModel::ToString() const {
   std::ostringstream out;
   out << "ernest: " << coefficients_[0] << " + " << coefficients_[1] << "/w + "
       << coefficients_[2] << "*log(w) + " << coefficients_[3] << "*w";
-  return out.str();
-}
-
-Result<InterpolationModel> InterpolationModel::Fit(
-    const std::vector<ScaleOutObservation>& points) {
-  std::vector<ScaleOutObservation> knots = MeanKnots(points);
-  if (knots.size() < 2) {
-    return Status::FailedPrecondition(
-        "interpolation needs >= 2 distinct positive worker counts");
-  }
-  PREDICT_ASSIGN_OR_RETURN(ErnestModel ernest, ErnestModel::Fit(points));
-  return InterpolationModel(std::move(knots), std::move(ernest));
-}
-
-double InterpolationModel::PredictIterationSeconds(const FeatureVector& features,
-                                                   double scale_out) const {
-  if (scale_out < knots_.front().scale_out ||
-      scale_out > knots_.back().scale_out) {
-    return ernest_.PredictIterationSeconds(features, scale_out);
-  }
-  auto upper = std::lower_bound(
-      knots_.begin(), knots_.end(), scale_out,
-      [](const ScaleOutObservation& k, double w) { return k.scale_out < w; });
-  if (upper->scale_out == scale_out) {
-    return std::max(0.0, upper->runtime_seconds);
-  }
-  const auto& hi = *upper;
-  const auto& lo = *(upper - 1);
-  const double t = (scale_out - lo.scale_out) / (hi.scale_out - lo.scale_out);
-  return std::max(0.0,
-                  lo.runtime_seconds + t * (hi.runtime_seconds - lo.runtime_seconds));
-}
-
-std::string InterpolationModel::ToString() const {
-  std::ostringstream out;
-  out << "interpolation: " << knots_.size() << " knots over w=["
-      << knots_.front().scale_out << ", " << knots_.back().scale_out
-      << "], out-of-range via { " << ernest_.ToString() << " }";
   return out.str();
 }
 

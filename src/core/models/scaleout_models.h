@@ -1,26 +1,49 @@
-// Scale-out-driven zoo members: mean, Ernest (NNLS), interpolation.
+// The history-only rung's models: mean and Ernest (NNLS).
 //
-// These model per-iteration runtime as a function of the cluster's
-// worker count alone, trained on historical *actual* runs (never on
-// sample runs, whose iterations are an order of magnitude cheaper than
-// the full-scale iterations they predict). The progression mirrors
-// Ellis' compute_predictions (SNIPPETS.md #2): mean when history is too
-// sparse to fit anything, Ernest's fixed basis while extrapolation must
-// be trusted, per-configuration interpolation once history is dense —
-// with Ernest handling out-of-range targets even in the dense tier.
+// Every full-quality prediction comes from the paper's cost model
+// (core/cost_model.h). These two serve only the bottom of the
+// degradation ladder, HistoryOnlyPrediction (core/predictor.h), which
+// answers from actual-run history alone when the sample run fails. They
+// model per-iteration runtime as a function of the cluster's worker count
+// alone: Ernest's fixed basis (Ellis' compute_predictions, SNIPPETS.md
+// #2) once the history spans two worker counts, the mean before that. On
+// leave-one-worker-count-out CV over six PageRank runs Ernest reads 0.9%
+// mean |error| against the mean's 30.1% (bench/ablation_history_rung.cc).
 
 #ifndef PREDICT_CORE_MODELS_SCALEOUT_MODELS_H_
 #define PREDICT_CORE_MODELS_SCALEOUT_MODELS_H_
 
 #include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "core/features.h"
-#include "core/models/runtime_model.h"
 
 namespace predict::models {
+
+/// Which model produced a report's per-iteration runtimes.
+enum class ModelTier : int {
+  kPaper = 0,   ///< forward-selected OLS over Table-1 features (§3.4)
+  kMean = 1,    ///< history-only rung: mean observed runtime
+  kErnest = 2,  ///< history-only rung: NNLS scale-out model
+};
+
+const char* ModelTierName(ModelTier tier);
+
+/// Which model answered a report, and from how much data.
+struct ModelSelection {
+  ModelTier tier = ModelTier::kPaper;
+  /// Distinct positive worker counts among the history runs (set by the
+  /// history-only rung).
+  int unique_configurations = 0;
+  size_t sample_rows = 0;
+  size_t history_rows = 0;
+  /// Why a degraded report used the model it did; empty on the full path.
+  std::string reason;
+
+  std::string ToString() const;
+};
 
 /// One (worker count, observed per-iteration runtime) training point.
 struct ScaleOutObservation {
@@ -29,15 +52,14 @@ struct ScaleOutObservation {
 };
 
 /// \brief Sparse-history fallback: the mean observed runtime.
-class MeanModel final : public RuntimeModel {
+class MeanModel {
  public:
   /// Requires at least one observation.
   static Result<MeanModel> Fit(const std::vector<ScaleOutObservation>& points);
 
-  ModelTier tier() const override { return ModelTier::kMean; }
-  double PredictIterationSeconds(const FeatureVector& features,
-                                 double scale_out) const override;
-  std::string ToString() const override;
+  /// The mean, clamped at >= 0, whatever the worker count.
+  double PredictIterationSeconds(double scale_out) const;
+  std::string ToString() const;
 
   double mean_seconds() const { return mean_seconds_; }
 
@@ -53,15 +75,13 @@ class MeanModel final : public RuntimeModel {
 /// perfectly parallel work (1/w), tree-aggregation (log w), and per-worker
 /// coordination (w). Non-negativity is what keeps extrapolation beyond
 /// the observed worker counts monotone-sane.
-class ErnestModel final : public RuntimeModel {
+class ErnestModel {
  public:
   /// Requires >= 2 observations at >= 2 distinct positive worker counts.
   static Result<ErnestModel> Fit(const std::vector<ScaleOutObservation>& points);
 
-  ModelTier tier() const override { return ModelTier::kErnest; }
-  double PredictIterationSeconds(const FeatureVector& features,
-                                 double scale_out) const override;
-  std::string ToString() const override;
+  double PredictIterationSeconds(double scale_out) const;
+  std::string ToString() const;
 
   /// The NNLS coefficients over {1, 1/w, log w, w}.
   const std::array<double, 4>& coefficients() const { return coefficients_; }
@@ -73,32 +93,6 @@ class ErnestModel final : public RuntimeModel {
   explicit ErnestModel(std::array<double, 4> coefficients)
       : coefficients_(coefficients) {}
   std::array<double, 4> coefficients_{};
-};
-
-/// \brief Dense-history member: piecewise-linear interpolation over the
-/// mean runtime at each observed worker count; targets outside the
-/// observed range fall through to an embedded ErnestModel (the Ellis
-/// interpolation/extrapolation split).
-class InterpolationModel final : public RuntimeModel {
- public:
-  /// Requires observations at >= 2 distinct positive worker counts (the
-  /// selector only picks this tier far past that density).
-  static Result<InterpolationModel> Fit(
-      const std::vector<ScaleOutObservation>& points);
-
-  ModelTier tier() const override { return ModelTier::kInterpolation; }
-  double PredictIterationSeconds(const FeatureVector& features,
-                                 double scale_out) const override;
-  std::string ToString() const override;
-
-  /// The interpolation knots: (worker count, mean runtime), ascending.
-  const std::vector<ScaleOutObservation>& knots() const { return knots_; }
-
- private:
-  InterpolationModel(std::vector<ScaleOutObservation> knots, ErnestModel ernest)
-      : knots_(std::move(knots)), ernest_(std::move(ernest)) {}
-  std::vector<ScaleOutObservation> knots_;
-  ErnestModel ernest_;
 };
 
 }  // namespace predict::models

@@ -53,43 +53,24 @@ Result<PredictionReport> AssemblePredictionReport(
   report.extrapolated_profile = std::move(extrapolation.extrapolated_profile);
 
   // 5. Cost model: train on the sample run plus history of actual runs on
-  // other datasets (§3.4 "Training Methodology"); the zoo selector picks
-  // which member actually predicts (density rule over history).
+  // other datasets (§3.4 "Training Methodology").
   PREDICT_ASSIGN_OR_RETURN(
       pipeline::ModelArtifact model,
       stages.fit.Run(profile, algorithm, dataset_name, fit_ctx));
   report.cost_model = std::move(model.model);
-  report.model_selection = model.selection;
+  report.model_selection = std::move(model.selection);
+  report.runtime_model_description = report.cost_model.ToString();
 
-  // 6. Predict each iteration of the actual run. Scale-out members
-  // predict from the deployment's worker count; the paper member from
-  // the extrapolated critical-worker features (identical numbers to the
-  // pre-zoo CostModel::PredictProfile path).
-  const double scale_out =
-      static_cast<double>(report.extrapolated_profile.num_workers);
-  if (model.runtime_model != nullptr) {
-    report.runtime_model_description = model.runtime_model->ToString();
-    report.per_iteration_seconds.clear();
-    report.per_iteration_seconds.reserve(
-        report.extrapolated_profile.iterations.size());
-    for (const IterationProfile& it : report.extrapolated_profile.iterations) {
-      report.per_iteration_seconds.push_back(
-          model.runtime_model->PredictIterationSeconds(it.critical_features,
-                                                       scale_out));
-    }
-  } else {
-    // Hand-built ModelArtifact without a zoo member: the cost model is
-    // the model.
-    report.runtime_model_description = report.cost_model.ToString();
-    report.per_iteration_seconds =
-        report.cost_model.PredictProfile(report.extrapolated_profile);
-  }
+  // 6. Predict each iteration of the actual run from its extrapolated
+  // critical-worker features.
+  report.per_iteration_seconds =
+      report.cost_model.PredictProfile(report.extrapolated_profile);
   report.predicted_superstep_seconds = 0.0;
   for (const double s : report.per_iteration_seconds) {
     report.predicted_superstep_seconds += s;
   }
 
-  // 7. Interval: residual bootstrap over the fitted member's training
+  // 7. Interval: residual bootstrap over the cost model's training
   // residuals, stretched by the deployment's straggler spread.
   report.distribution =
       BootstrapDistribution(report.per_iteration_seconds, model.residuals,
@@ -142,27 +123,30 @@ Result<PredictionReport> HistoryOnlyPrediction(const PredictorOptions& options,
                                       static_cast<double>(matching.size()))));
 
   // Ernest when the history spans enough deployments to fit its basis,
-  // else the mean observed iteration runtime.
+  // else the mean observed iteration runtime. Legacy runs, written before
+  // history recorded worker counts (num_workers = 0), have no place on
+  // Ernest's worker axis.
   PredictionReport report;
+  const double scale_out = static_cast<double>(num_workers);
+  double iteration_seconds = 0.0;
   if (distinct_workers.size() >= 2) {
+    std::vector<models::ScaleOutObservation> known_workers;
+    for (const models::ScaleOutObservation& point : observations) {
+      if (point.scale_out > 0.0) known_workers.push_back(point);
+    }
     PREDICT_ASSIGN_OR_RETURN(models::ErnestModel model,
-                             models::ErnestModel::Fit(observations));
+                             models::ErnestModel::Fit(known_workers));
     report.model_selection.tier = models::ModelTier::kErnest;
     report.runtime_model_description = model.ToString();
-    report.per_iteration_seconds.assign(
-        predicted_iterations,
-        model.PredictIterationSeconds(FeatureVector{},
-                                      static_cast<double>(num_workers)));
+    iteration_seconds = model.PredictIterationSeconds(scale_out);
   } else {
     PREDICT_ASSIGN_OR_RETURN(models::MeanModel model,
                              models::MeanModel::Fit(observations));
     report.model_selection.tier = models::ModelTier::kMean;
     report.runtime_model_description = model.ToString();
-    report.per_iteration_seconds.assign(
-        predicted_iterations,
-        model.PredictIterationSeconds(FeatureVector{},
-                                      static_cast<double>(num_workers)));
+    iteration_seconds = model.PredictIterationSeconds(scale_out);
   }
+  report.per_iteration_seconds.assign(predicted_iterations, iteration_seconds);
 
   report.algorithm = algorithm;
   report.dataset = dataset_name;

@@ -30,7 +30,7 @@
 #include "core/extrapolator.h"
 #include "core/features.h"
 #include "core/history.h"
-#include "core/models/model_selector.h"
+#include "core/models/scaleout_models.h"
 #include "core/transform.h"
 #include "pipeline/stages.h"
 #include "sampling/sampler.h"
@@ -107,11 +107,6 @@ struct PredictorOptions {
   /// Custom transform function; null = the paper's default rules.
   const TransformFunction* transform = nullptr;
 
-  /// Model-zoo selection thresholds (core/models/model_selector.h). The
-  /// defaults keep history-free and single-deployment flows on the
-  /// paper's cost model, bit-identical to the pre-zoo predictor.
-  models::ModelZooOptions model_zoo;
-
   /// Residual-bootstrap prediction intervals (core/distribution.h).
   BootstrapOptions bootstrap;
 
@@ -144,14 +139,20 @@ struct PredictionReport {
 
   ExtrapolationFactors factors;
 
-  /// The trained cost model (R^2, selected features, coefficients).
-  /// Always the paper's OLS fit, even when another zoo member predicts.
+  /// The trained cost model (R^2, selected features, coefficients): the
+  /// paper's OLS, fit on the sample run plus other datasets' history.
+  /// On the full and stale-profile rungs it predicts every iteration,
+  /// whatever worker counts the history spans — models of runtime
+  /// against worker count alone ignore the graph being predicted, and
+  /// on the same requests they read 91–137% mean |runtime error|
+  /// against the OLS's 37–40%. Empty on the history-only rung.
   CostModel cost_model;
 
-  /// Which zoo member produced per_iteration_seconds, and why the
-  /// selector picked it.
+  /// Which model produced per_iteration_seconds: tier paper with its
+  /// sample and history row counts, or on the history-only rung mean or
+  /// Ernest with the reason.
   models::ModelSelection model_selection;
-  /// ToString() of the selected member, e.g. "ernest: 0.3 + 12/w + ...".
+  /// ToString() of that model, e.g. "ernest: 0.3 + 12/w + ...".
   std::string runtime_model_description;
 
   /// The prediction as a distribution: point estimate plus bootstrap
@@ -197,7 +198,7 @@ struct PredictionPipeline {
       : sample(options.sampler),
         transform(options.transform),
         profile(options.engine),
-        fit(options.cost_model, options.history, options.model_zoo),
+        fit(options.cost_model, options.history),
         bootstrap(options.bootstrap) {}
 
   pipeline::SampleStage sample;
@@ -226,10 +227,12 @@ Result<PredictionReport> AssemblePredictionReport(
 /// The bottom rung of the degradation ladder: a prediction built from the
 /// history store alone, with no sample run. Iterations = the rounded mean
 /// iteration count of the algorithm's history profiles; per-iteration
-/// runtime from an Ernest fit over the history's (workers, runtime) rows
-/// when at least two distinct positive worker counts exist, else from the
-/// mean model. Far coarser than the methodology — the report says so via
-/// `degradation` (rung kHistoryOnly, the given `cause`).
+/// runtime from an Ernest fit over the (workers, runtime) rows of runs
+/// with a known worker count when at least two distinct ones exist, else
+/// from the mean of every row. Legacy runs (num_workers = 0) count toward
+/// the iteration mean and the mean model, never toward Ernest. Far
+/// coarser than the methodology — the report says so via `degradation`
+/// (rung kHistoryOnly, the given `cause`).
 ///
 /// Fails with the annotated cause when the options carry no usable
 /// history for `algorithm` — the ladder's explicit-error bottom.

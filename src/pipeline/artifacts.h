@@ -17,7 +17,6 @@
 #define PREDICT_PIPELINE_ARTIFACTS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,7 @@
 #include "core/cost_model.h"
 #include "core/extrapolator.h"
 #include "core/features.h"
-#include "core/models/model_selector.h"
+#include "core/models/scaleout_models.h"
 #include "sampling/sampler.h"
 
 namespace predict::pipeline {
@@ -114,20 +113,15 @@ struct ExtrapolationArtifact {
   RunProfile extrapolated_profile;
 };
 
-/// Output of FitStage: the trained cost model, plus the zoo member the
-/// density rule selected for the actual prediction.
+/// Output of FitStage: the paper's cost model, trained once on the
+/// sample run's rows and then the history's, the only model behind a
+/// full-quality report.
 struct ModelArtifact {
-  /// The paper's cost model, always trained (reports expose its R^2 and
-  /// selected features regardless of which zoo member predicts).
   CostModel model;
-  /// The selected zoo member; the predictor calls this one. Null only in
-  /// hand-built artifacts (legacy tests) — consumers fall back to
-  /// `model`.
-  std::shared_ptr<const models::RuntimeModel> runtime_model;
-  /// Why the selector picked `runtime_model`.
+  /// Tier paper, with the sample and history row counts it trained on.
   models::ModelSelection selection;
-  /// Training residuals of the selected member (observed - predicted),
-  /// the raw material of bootstrap prediction intervals.
+  /// Training residuals (observed - predicted, one per training row in
+  /// training order), the raw material of bootstrap prediction intervals.
   std::vector<double> residuals;
 };
 

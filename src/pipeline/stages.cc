@@ -8,7 +8,6 @@
 #include "common/failpoint.h"
 #include "common/strings.h"
 #include "core/features.h"
-#include "core/models/paper_model.h"
 
 namespace predict::pipeline {
 
@@ -227,35 +226,24 @@ Result<ModelArtifact> FitStage::Run(const ProfileArtifact& profile,
           : 0;
   return RunStage("fit_stage", ctx, [&]() -> Result<ModelArtifact> {
     PREDICT_FAIL_POINT_CTX("fit.ols", fail_context);
-    const std::vector<TrainingRow> sample_rows =
+    // Sample rows first, then history rows: the training order the
+    // residuals (and so the bootstrap intervals) follow.
+    std::vector<TrainingRow> rows =
         TrainingRowsFromProfile(profile.sample_profile);
-    std::vector<TrainingRow> history_rows;
-    if (history_ != nullptr) {
-      history_rows =
-          history_->TrainingRowsExcluding(algorithm, exclude_dataset);
-    }
-
     ModelArtifact artifact;
-    PREDICT_ASSIGN_OR_RETURN(
-        models::ModelZooFit zoo_fit,
-        models::FitModelZoo(sample_rows, history_rows, options_, zoo_));
-    artifact.selection = std::move(zoo_fit.selection);
-    artifact.residuals = std::move(zoo_fit.residuals);
-    artifact.runtime_model = std::move(zoo_fit.model);
-
-    // The paper's cost model is always part of the artifact: when the
-    // selector picked it, reuse the exact fit; otherwise train it
-    // separately so reports keep R^2 / selected features.
-    if (artifact.selection.tier == models::ModelTier::kPaper) {
-      artifact.model = static_cast<const models::PaperModel&>(
-                           *artifact.runtime_model)
-                           .cost_model();
-    } else {
-      std::vector<TrainingRow> combined = sample_rows;
-      combined.insert(combined.end(), history_rows.begin(),
-                      history_rows.end());
-      PREDICT_ASSIGN_OR_RETURN(artifact.model,
-                               CostModel::Train(combined, options_));
+    artifact.selection.sample_rows = rows.size();
+    if (history_ != nullptr) {
+      const std::vector<TrainingRow> history_rows =
+          history_->TrainingRowsExcluding(algorithm, exclude_dataset);
+      artifact.selection.history_rows = history_rows.size();
+      rows.insert(rows.end(), history_rows.begin(), history_rows.end());
+    }
+    PREDICT_ASSIGN_OR_RETURN(artifact.model, CostModel::Train(rows, options_));
+    artifact.residuals.reserve(rows.size());
+    for (const TrainingRow& row : rows) {
+      artifact.residuals.push_back(
+          row.runtime_seconds -
+          artifact.model.PredictIterationSeconds(row.features));
     }
     return artifact;
   });

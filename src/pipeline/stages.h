@@ -162,14 +162,13 @@ class ExtrapolateStage {
 
 /// Stage 5: trains the cost model on the sample run's rows plus the
 /// history store's rows for the same algorithm on *other* datasets (the
-/// paper's training methodology), and selects the zoo member for the
-/// actual prediction from history density (core/models/model_selector.h).
+/// paper's training methodology, §3.4). That one model predicts every
+/// iteration of a full-quality report.
 class FitStage {
  public:
   /// `history` may be null (train on the sample rows alone). Not owned.
-  FitStage(CostModelOptions options, const HistoryStore* history,
-           models::ModelZooOptions zoo = {})
-      : options_(options), history_(history), zoo_(zoo) {}
+  FitStage(CostModelOptions options, const HistoryStore* history)
+      : options_(options), history_(history) {}
 
   /// Fail point: fit.ols, context-keyed on (algorithm, exclude_dataset).
   Result<ModelArtifact> Run(const ProfileArtifact& profile,
@@ -180,7 +179,6 @@ class FitStage {
  private:
   CostModelOptions options_;
   const HistoryStore* history_;
-  models::ModelZooOptions zoo_;
 };
 
 }  // namespace predict::pipeline

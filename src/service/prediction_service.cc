@@ -56,10 +56,6 @@ PredictionService::PredictionService(PredictionServiceOptions options)
       stages_(options_.predictor),
       history_free_stages_(WithoutHistory(options_.predictor)),
       default_engine_key_(bsp::EngineOptionsKey(options_.predictor.engine)),
-      model_config_key_(
-          models::ModelConfigKey(options_.predictor.cost_model,
-                                 options_.predictor.model_zoo) +
-          ";" + options_.predictor.bootstrap.ConfigKey()),
       pool_(ResolveThreads(options_.num_threads)) {}
 
 template <typename ValuePtr, typename Compute>
@@ -218,14 +214,13 @@ Result<PredictionReport> PredictionService::Predict(
 
   // 3. Sample run (cached on the sample's *content* + algorithm +
   // dataset label + transformed config + the target deployment's
-  // canonical engine key + the model configuration — everything the
-  // profile depends on, and nothing it doesn't: keying on content rather
-  // than the graph version the sample came from keeps profiles hitting
-  // across graph churn that leaves the sample unchanged).
+  // canonical engine key — everything the profile depends on, and
+  // nothing it doesn't: keying on content rather than the graph version
+  // the sample came from keeps profiles hitting across graph churn that
+  // leaves the sample unchanged).
   const std::string profile_key =
       (*sample)->ContentKey() + "|" + request.algorithm + "|" +
-      request.dataset + "|" + transform.ConfigKey() + "|" + engine_key + "|" +
-      model_config_key_;
+      request.dataset + "|" + transform.ConfigKey() + "|" + engine_key;
   bool profile_reused = false;
   Result<ProfilePtr> profile = GetOrCompute(
       profile_cache_, profile_key, stats_.profile_hits, stats_.profile_misses,

@@ -9,7 +9,7 @@
 //
 //   sample cache   (graph fingerprint, SamplerOptions) -> SampleArtifact
 //   profile cache  (sample ContentKey(), algorithm, dataset, transformed
-//                  config, engine key, model-config key) -> ProfileArtifact
+//                  config, engine key) -> ProfileArtifact
 //
 // Both are shared across concurrent Predict calls: the first request for
 // a key computes the artifact while later requests for the same key wait
@@ -212,11 +212,6 @@ class PredictionService {
   /// EngineOptionsKey of the service's configured deployment, the
   /// profile-cache scenario component for requests without a scenario.
   std::string default_engine_key_;
-  /// Canonical key of the model configuration (cost-model options + zoo
-  /// thresholds + bootstrap settings), a component of every profile
-  /// cache key: artifacts cached under one model configuration are never
-  /// mistaken for another's if services ever share a cache backing.
-  std::string model_config_key_;
 
   /// Serializes PredictBatch callers (ThreadPool runs one batch at a
   /// time); single Predict calls do not take this.

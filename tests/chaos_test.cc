@@ -456,6 +456,38 @@ TEST_F(ChaosPredictorTest, SingleConfigHistoryFallsBackToMeanModel) {
   EXPECT_EQ(report->model_selection.tier, models::ModelTier::kMean);
 }
 
+TEST_F(ChaosPredictorTest, LegacyHistoryRunsKeepTheErnestFallback) {
+  ASSERT_TRUE(fail::Configure("profile.run", "prob:1").ok());
+  const Graph g = TestGraph(2000, 17);
+  // Runs at 2 and 4 workers, plus one from a history file written before
+  // the num_workers column: it loads with num_workers = 0.
+  HistoryStore history = TestHistory("pagerank", {2, 4});
+  RunProfile legacy;
+  legacy.algorithm = "pagerank";
+  legacy.dataset = "legacy_ds";
+  legacy.num_vertices = 1000;
+  legacy.num_edges = 6000;
+  for (int i = 0; i < 5; ++i) {
+    IterationProfile it;
+    it.iteration = i;
+    it.critical_features[0] = 100.0 + i;
+    it.runtime_seconds = 2.0;
+    legacy.iterations.push_back(it);
+  }
+  history.Add(legacy);
+  PredictorOptions options = TestPredictorOptions();
+  options.history = &history;
+  options.robustness.degraded_fallbacks = true;
+
+  auto report = Predictor(options).PredictRuntime("pagerank", g, "ds");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->degradation.rung, DegradationRung::kHistoryOnly);
+  // Two known worker counts still fit Ernest; the legacy run only counts
+  // toward the iteration mean.
+  EXPECT_EQ(report->model_selection.tier, models::ModelTier::kErnest);
+  EXPECT_EQ(report->predicted_iterations, 5);
+}
+
 TEST_F(ChaosPredictorTest, NoUsableHistoryIsAnExplicitError) {
   ASSERT_TRUE(fail::Configure("profile.run", "prob:1").ok());
   const Graph g = TestGraph(2000, 17);

@@ -1,13 +1,12 @@
 // Tests for core/history.h persistence and concurrency: the num_workers
 // column round-trips, pre-column legacy files still load (num_workers =
-// 0, one "unknown" configuration), and Add may race the training-row
+// 0, an unknown configuration), and Add may race the training-row
 // readers (the PredictionService shares one store across in-flight
 // predictions).
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "common/failpoint.h"
 #include "core/features.h"
 #include "core/history.h"
-#include "core/models/model_selector.h"
 
 namespace predict {
 namespace {
@@ -58,7 +56,7 @@ TEST(HistoryPersistenceTest, NumWorkersRoundTrips) {
   EXPECT_EQ(profiles[0].num_workers, 8u);
   EXPECT_EQ(profiles[1].num_workers, 29u);
 
-  // The worker count must reach the model zoo via TrainingRow::scale_out.
+  // The worker count reaches each training row as TrainingRow::scale_out.
   const std::vector<TrainingRow> rows = loaded->TrainingRowsFor("pagerank");
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_DOUBLE_EQ(rows[0].scale_out, 8.0);
@@ -79,8 +77,7 @@ TEST(HistoryPersistenceTest, NumWorkersRoundTrips) {
 
 TEST(HistoryPersistenceTest, LegacyFileWithoutWorkersColumnLoads) {
   // A file written before the num_workers column existed: 5 leading
-  // fields instead of 6. It must load with num_workers = 0 ("unknown"),
-  // which the selector treats as one legacy configuration -> paper tier.
+  // fields instead of 6. It must load with num_workers = 0 ("unknown").
   const std::string path = TempPath("predict_history_legacy.csv");
   {
     std::ofstream out(path);
@@ -100,12 +97,6 @@ TEST(HistoryPersistenceTest, LegacyFileWithoutWorkersColumnLoads) {
   EXPECT_DOUBLE_EQ(rows[0].scale_out, 0.0);
   EXPECT_DOUBLE_EQ(rows[1].runtime_seconds, 1.0);
   EXPECT_DOUBLE_EQ(rows[1].features[static_cast<int>(Feature::kRemMsg)], 100.0);
-
-  // One unknown configuration keeps the zoo on the paper tier.
-  std::set<double> configs;
-  for (const TrainingRow& row : rows) configs.insert(row.scale_out);
-  EXPECT_EQ(models::TierForConfigs(static_cast<int>(configs.size()), {}),
-            models::ModelTier::kPaper);
   std::filesystem::remove(path);
 }
 

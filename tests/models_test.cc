@@ -1,21 +1,16 @@
-// Tests for the runtime-model zoo (core/models/), the variance-aware
-// prediction distribution (core/distribution.h), the NNLS solver behind
-// the Ernest member, and the hardened degenerate-input contracts of
-// core/regression.h.
+// Tests for the history-only rung's models (core/models/), the
+// variance-aware prediction distribution (core/distribution.h), the NNLS
+// solver behind the Ernest model, and the hardened degenerate-input
+// contracts of core/regression.h.
 
 #include <array>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/cost_model.h"
 #include "core/distribution.h"
-#include "core/features.h"
-#include "core/models/model_selector.h"
-#include "core/models/paper_model.h"
 #include "core/models/scaleout_models.h"
 #include "core/regression.h"
 
@@ -126,7 +121,7 @@ TEST(RegressionHardeningTest, ForwardSelectSkipsDegenerateCandidates) {
   EXPECT_EQ(model->feature_indices[0], 1);
 }
 
-// ---------------------------------------------------------- zoo members
+// ------------------------------------------------- history-rung models
 
 std::vector<models::ScaleOutObservation> ErnestCurve(
     const std::vector<double>& workers) {
@@ -141,19 +136,17 @@ TEST(MeanModelTest, PredictsTheMeanEverywhere) {
   auto model = models::MeanModel::Fit({{8, 2.0}, {16, 4.0}, {32, 6.0}});
   ASSERT_TRUE(model.ok());
   EXPECT_DOUBLE_EQ(model->mean_seconds(), 4.0);
-  FeatureVector features{};
-  EXPECT_DOUBLE_EQ(model->PredictIterationSeconds(features, 8.0), 4.0);
-  EXPECT_DOUBLE_EQ(model->PredictIterationSeconds(features, 1000.0), 4.0);
+  EXPECT_DOUBLE_EQ(model->PredictIterationSeconds(8.0), 4.0);
+  EXPECT_DOUBLE_EQ(model->PredictIterationSeconds(1000.0), 4.0);
   EXPECT_FALSE(models::MeanModel::Fit({}).ok());
 }
 
 TEST(ErnestModelTest, RecoversTheCurveAndExtrapolates) {
   auto model = models::ErnestModel::Fit(ErnestCurve({4, 8, 16, 32}));
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  FeatureVector features{};
   for (const double w : {4.0, 8.0, 16.0, 32.0, 64.0}) {
     const double expected = 0.5 + 24.0 / w + 0.1 * std::log(w) + 0.01 * w;
-    EXPECT_NEAR(model->PredictIterationSeconds(features, w), expected,
+    EXPECT_NEAR(model->PredictIterationSeconds(w), expected,
                 0.02 * expected)
         << "w=" << w;
   }
@@ -164,171 +157,6 @@ TEST(ErnestModelTest, NeedsTwoDistinctWorkerCounts) {
   EXPECT_FALSE(models::ErnestModel::Fit({{8, 1.0}}).ok());
   EXPECT_FALSE(models::ErnestModel::Fit({{8, 1.0}, {8, 1.1}}).ok());
   EXPECT_TRUE(models::ErnestModel::Fit({{8, 2.0}, {16, 1.0}}).ok());
-}
-
-TEST(InterpolationModelTest, InterpolatesInRangeErnestOutOfRange) {
-  auto model = models::InterpolationModel::Fit(
-      {{8, 4.0}, {8, 6.0}, {16, 3.0}, {32, 2.0}});
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  // Duplicate observations at w=8 collapse to their mean knot.
-  ASSERT_EQ(model->knots().size(), 3u);
-  EXPECT_DOUBLE_EQ(model->knots()[0].runtime_seconds, 5.0);
-  FeatureVector features{};
-  // Exact at the knots, linear between them.
-  EXPECT_DOUBLE_EQ(model->PredictIterationSeconds(features, 16.0), 3.0);
-  EXPECT_DOUBLE_EQ(model->PredictIterationSeconds(features, 12.0), 4.0);
-  EXPECT_DOUBLE_EQ(model->PredictIterationSeconds(features, 24.0), 2.5);
-  // Out of range: the embedded Ernest extrapolator takes over (only
-  // sanity-check it, the fit is the Ernest member's own test's job).
-  EXPECT_GE(model->PredictIterationSeconds(features, 64.0), 0.0);
-  EXPECT_GE(model->PredictIterationSeconds(features, 2.0), 0.0);
-}
-
-// ------------------------------------------------------------- selection
-
-TEST(ModelSelectorTest, TierAtEachDensityThreshold) {
-  const models::ModelZooOptions zoo;  // mean<=2, ernest<=5
-  EXPECT_EQ(models::TierForConfigs(0, zoo), models::ModelTier::kPaper);
-  EXPECT_EQ(models::TierForConfigs(1, zoo), models::ModelTier::kPaper);
-  EXPECT_EQ(models::TierForConfigs(2, zoo), models::ModelTier::kMean);
-  EXPECT_EQ(models::TierForConfigs(3, zoo), models::ModelTier::kErnest);
-  EXPECT_EQ(models::TierForConfigs(5, zoo), models::ModelTier::kErnest);
-  EXPECT_EQ(models::TierForConfigs(6, zoo), models::ModelTier::kInterpolation);
-
-  models::ModelZooOptions off;
-  off.enable_zoo = false;
-  EXPECT_EQ(models::TierForConfigs(100, off), models::ModelTier::kPaper);
-}
-
-// History rows spanning `configs` distinct worker counts, with a clean
-// linear feature -> runtime relationship so the paper OLS always fits.
-std::vector<TrainingRow> HistoryRows(int configs, int rows_per_config) {
-  std::vector<TrainingRow> rows;
-  for (int c = 0; c < configs; ++c) {
-    const double workers = 8.0 + 4.0 * c;
-    for (int i = 0; i < rows_per_config; ++i) {
-      TrainingRow row;
-      row.features[static_cast<int>(Feature::kRemMsg)] = 100.0 * (i + 1);
-      row.features[static_cast<int>(Feature::kRemMsgSize)] = 900.0 * (i + 1);
-      row.runtime_seconds =
-          (0.01 * row.features[static_cast<int>(Feature::kRemMsg)] + 0.5) *
-          (8.0 / workers);
-      row.scale_out = workers;
-      rows.push_back(row);
-    }
-  }
-  return rows;
-}
-
-TEST(ModelSelectorTest, FitWalksTheDensityLadder) {
-  const models::ModelZooOptions zoo;
-  const std::vector<models::ModelTier> expected = {
-      models::ModelTier::kPaper,  models::ModelTier::kMean,
-      models::ModelTier::kErnest, models::ModelTier::kErnest,
-      models::ModelTier::kErnest, models::ModelTier::kInterpolation};
-  for (int configs = 1; configs <= 6; ++configs) {
-    auto fit =
-        models::FitModelZoo({}, HistoryRows(configs, 6), CostModelOptions{}, zoo);
-    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-    EXPECT_EQ(fit->selection.tier, expected[configs - 1]) << configs;
-    EXPECT_EQ(fit->selection.unique_configurations, configs);
-    EXPECT_FALSE(fit->selection.reason.empty());
-    // Residuals: one per training row of the selected member.
-    const size_t rows = static_cast<size_t>(configs) * 6u;
-    EXPECT_EQ(fit->residuals.size(), rows);
-  }
-}
-
-TEST(ModelSelectorTest, SingleConfigMatchesZooDisabledBitForBit) {
-  // The bit-identity contract: with <= 1 unique configuration the zoo
-  // selects the paper member trained exactly as the pre-zoo FitStage
-  // trained its CostModel, so enabling the zoo must not move a single
-  // coefficient or prediction.
-  const std::vector<TrainingRow> sample = HistoryRows(1, 5);
-  const std::vector<TrainingRow> history = HistoryRows(1, 7);
-  models::ModelZooOptions off;
-  off.enable_zoo = false;
-  auto with_zoo = models::FitModelZoo(sample, history, CostModelOptions{}, {});
-  auto without = models::FitModelZoo(sample, history, CostModelOptions{}, off);
-  ASSERT_TRUE(with_zoo.ok() && without.ok());
-  EXPECT_EQ(with_zoo->selection.tier, models::ModelTier::kPaper);
-  const auto& a =
-      static_cast<const models::PaperModel&>(*with_zoo->model).cost_model();
-  const auto& b =
-      static_cast<const models::PaperModel&>(*without->model).cost_model();
-  EXPECT_EQ(a.model().feature_indices, b.model().feature_indices);
-  EXPECT_EQ(a.model().coefficients, b.model().coefficients);
-  EXPECT_EQ(a.model().intercept, b.model().intercept);
-  FeatureVector features{};
-  features[static_cast<int>(Feature::kRemMsg)] = 450.0;
-  EXPECT_EQ(with_zoo->model->PredictIterationSeconds(features, 29.0),
-            b.PredictIterationSeconds(features));
-}
-
-TEST(ModelSelectorTest, ScaleOutTiersIgnoreSampleRows) {
-  // Sample rows are 10x cheaper than actual-run rows; a scale-out fit
-  // that ingested them would learn garbage. The mean tier makes the
-  // leak observable: the mean must cover history rows only.
-  std::vector<TrainingRow> sample(4);
-  for (auto& row : sample) row.runtime_seconds = 0.001;
-  std::vector<TrainingRow> history;
-  for (const double w : {8.0, 16.0}) {
-    TrainingRow row;
-    row.runtime_seconds = 10.0;
-    row.scale_out = w;
-    history.push_back(row);
-  }
-  auto fit = models::FitModelZoo(sample, history, CostModelOptions{}, {});
-  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-  ASSERT_EQ(fit->selection.tier, models::ModelTier::kMean);
-  FeatureVector features{};
-  EXPECT_DOUBLE_EQ(fit->model->PredictIterationSeconds(features, 12.0), 10.0);
-  EXPECT_EQ(fit->residuals.size(), history.size());
-}
-
-TEST(ModelSelectorTest, DegenerateScaleOutFitFallsBackToPaper) {
-  // Three distinct configs select Ernest, but every runtime is NaN-free
-  // zero-variance... make Ernest itself fail: one row per config is fine
-  // for Ernest, so poison it with a non-finite runtime instead.
-  std::vector<TrainingRow> history = HistoryRows(3, 4);
-  history[0].runtime_seconds = std::numeric_limits<double>::quiet_NaN();
-  // Keep the paper fallback trainable: drop the poisoned row's influence
-  // by overwriting it with a clean duplicate of another row *after* the
-  // scale-out observations are extracted — not possible from outside, so
-  // instead poison only the scale-out axis via an infinite worker count.
-  history[0].runtime_seconds = 1.0;
-  history[0].scale_out = std::numeric_limits<double>::infinity();
-  auto fit = models::FitModelZoo({}, history, CostModelOptions{}, {});
-  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-  EXPECT_EQ(fit->selection.tier, models::ModelTier::kPaper);
-  EXPECT_NE(fit->selection.reason.find("fallback"), std::string::npos)
-      << fit->selection.reason;
-}
-
-TEST(ModelSelectorTest, ConfigKeysDistinguishOptions) {
-  std::set<std::string> keys;
-  models::ModelZooOptions zoo;
-  keys.insert(zoo.ConfigKey());
-  zoo.enable_zoo = false;
-  keys.insert(zoo.ConfigKey());
-  zoo.enable_zoo = true;
-  zoo.ernest_max_configs = 9;
-  keys.insert(zoo.ConfigKey());
-  EXPECT_EQ(keys.size(), 3u);
-
-  CostModelOptions cost;
-  const std::string base = models::ModelConfigKey(cost, zoo);
-  cost.use_feature_selection = !cost.use_feature_selection;
-  EXPECT_NE(models::ModelConfigKey(cost, zoo), base);
-
-  std::set<std::string> boot_keys;
-  BootstrapOptions boot;
-  boot_keys.insert(boot.ConfigKey());
-  boot.num_samples += 1;
-  boot_keys.insert(boot.ConfigKey());
-  boot.seed += 1;
-  boot_keys.insert(boot.ConfigKey());
-  EXPECT_EQ(boot_keys.size(), 3u);
 }
 
 // ----------------------------------------------------------- distribution

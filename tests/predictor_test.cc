@@ -199,6 +199,42 @@ TEST(PredictorTest, HistoryExcludesSameDataset) {
   EXPECT_LT(report->predicted_superstep_seconds, 1e6);
 }
 
+TEST(PredictorTest, MultiConfigHistoryFitsTheCostModel) {
+  const Graph g = TestGraph(20000, 81);
+  // Actual runs of other datasets at three worker counts.
+  HistoryStore history;
+  size_t history_rows = 0;
+  for (const uint32_t workers : {2u, 4u, 8u}) {
+    const Graph other = TestGraph(5000, 90 + workers);
+    RunOptions run_options;
+    run_options.engine = TestEngine();
+    run_options.engine.num_workers = workers;
+    run_options.config_overrides = {{"tau", PageRankTau(other)}};
+    auto run = RunAlgorithmByName("pagerank", other, run_options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    history.Add(ProfileFromRunStats("pagerank",
+                                    "other_w" + std::to_string(workers),
+                                    other.num_vertices(), other.num_edges(),
+                                    run->stats));
+    history_rows += run->stats.supersteps.size();
+  }
+
+  PredictorOptions options = TestOptions();
+  options.history = &history;
+  auto report = Predictor(options).PredictRuntime("pagerank", g, "test",
+                                                  {{"tau", PageRankTau(g)}});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // History spanning several worker counts still predicts through the
+  // paper's cost model, trained on sample rows plus every history row.
+  EXPECT_EQ(report->model_selection.tier, models::ModelTier::kPaper);
+  EXPECT_EQ(report->model_selection.sample_rows,
+            report->sample_profile.iterations.size());
+  EXPECT_EQ(report->model_selection.history_rows, history_rows);
+  EXPECT_EQ(report->runtime_model_description, report->cost_model.ToString());
+  EXPECT_EQ(report->per_iteration_seconds,
+            report->cost_model.PredictProfile(report->extrapolated_profile));
+}
+
 // ------------------------------------------------------------------ errors
 
 TEST(PredictorTest, UnknownAlgorithmFails) {

@@ -507,9 +507,12 @@ int CmdPredict(const Flags& flags) {
                 FormatSeconds(report->distribution.p95_seconds).c_str(),
                 report->distribution.samples.size());
   }
-  std::printf("  model:                %s [%s]\n",
-              report->runtime_model_description.c_str(),
-              report->model_selection.reason.c_str());
+  std::printf("  model:                %s",
+              report->runtime_model_description.c_str());
+  if (!report->model_selection.reason.empty()) {
+    std::printf(" [%s]", report->model_selection.reason.c_str());
+  }
+  std::printf("\n");
   std::printf("  cost model:           %s\n",
               report->cost_model.ToString().c_str());
   std::printf("  sample-run overhead:  %s simulated, %s wall\n",
@@ -890,10 +893,9 @@ int CmdWhatIf(const Flags& flags) {
 
 // ------------------------------------------------------- history inspection
 
-// Summarizes a history CSV from the model zoo's point of view: how many
-// rows each algorithm has, how many distinct worker configurations they
-// span, how spread out the observed runtimes are, and which zoo tier
-// that density qualifies the algorithm for (models::TierForConfigs).
+// Summarizes a history CSV: how many rows each algorithm has, how many
+// distinct worker configurations they span, and how spread out the
+// observed runtimes are.
 int CmdHistory(const Flags& flags) {
   const std::string file = GetFlag(flags, "file");
   if (file.empty()) {
@@ -937,9 +939,8 @@ int CmdHistory(const Flags& flags) {
     std::printf("\n");
   }
 
-  std::printf("%-22s %8s %6s %8s %12s %12s %s\n", "algorithm", "profiles",
-              "rows", "configs", "mean/iter", "spread", "zoo tier");
-  const models::ModelZooOptions zoo;
+  std::printf("%-22s %8s %6s %8s %12s %12s\n", "algorithm", "profiles",
+              "rows", "configs", "mean/iter", "spread");
   for (const auto& [algorithm, profs] : by_algorithm) {
     size_t rows = 0;
     double sum = 0.0;
@@ -963,12 +964,9 @@ int CmdHistory(const Flags& flags) {
     }
     const double spread =
         rows > 1 ? std::sqrt(var / static_cast<double>(rows - 1)) : 0.0;
-    const models::ModelTier tier =
-        models::TierForConfigs(static_cast<int>(configs.size()), zoo);
-    std::printf("%-22s %8zu %6zu %8zu %12s %12s %s\n", algorithm.c_str(),
+    std::printf("%-22s %8zu %6zu %8zu %12s %12s\n", algorithm.c_str(),
                 profs.size(), rows, configs.size(),
-                FormatSeconds(mean).c_str(), FormatSeconds(spread).c_str(),
-                models::ModelTierName(tier));
+                FormatSeconds(mean).c_str(), FormatSeconds(spread).c_str());
   }
 
   const std::string export_file = GetFlag(flags, "export");
