@@ -21,10 +21,15 @@
 //      components and semi-clustering across host thread counts
 //      {0, 1, 2, 8} on a small RMAT graph (fingerprint matrix).
 //   4. Dense payoff — on a fully-active, low-degree workload (the regime
-//      the dense path exists for) the pinned-dense engine must beat the
-//      pinned-sparse engine by >= 1.5x per-superstep host time (median
-//      across superstep indices of the min across repetitions, from
-//      SuperstepStats::host_seconds).
+//      the dense path exists for) the barrier work the dense path skips
+//      is gated as exact counts (SuperstepStats::barrier_work): every
+//      pinned-dense barrier sorts no entry, sweeps no owned slot and
+//      rebuilds no worklist, every pinned-sparse barrier sorts or sweeps
+//      at least the |messaged| entries it must order, and the adaptive
+//      policy picks dense on every superstep. The per-superstep host-time
+//      ratio (median across superstep indices of the min across
+//      repetitions, from SuperstepStats::host_seconds) is reported, not
+//      gated: it measures the host as much as the engine.
 //
 // PREDICT_SCALE_XL=1 adds an opt-in 100M-edge leg (structure + ratio
 // only; it needs several GB of host RAM).
@@ -65,18 +70,16 @@ constexpr double kMaxCompressedRatio = 0.6;
 // quadratic, not to benchmark CI hardware.
 constexpr double kMinMessagesPerSecond = 1.0e6;
 
-// Pinned-dense over pinned-sparse per-superstep host-time speedup on
-// the fully-active low-degree workload of section 4 (median across
-// superstep indices of the min across repetitions).
-constexpr double kMinDenseSpeedup = 1.5;
+// Repetitions and supersteps of section 4's timed runs. The reported
+// statistic is the median across superstep indices of the min across
+// repetitions of the pinned-sparse over pinned-dense host time.
 constexpr int kPayoffReps = 12;
 constexpr int kPayoffSteps = 8;
 
 // Sanitizer builds (ctest presets scale-asan etc.) run every check for
-// memory-bug coverage but do not enforce the dense-payoff floor:
-// shadow-memory instrumentation taxes the two paths differently, so the
-// ratio stops measuring the engine. Repetitions drop too — the timing
-// is reported, not gated.
+// memory-bug coverage with fewer timed repetitions: shadow-memory
+// instrumentation taxes the two paths differently, so the reported
+// ratio stops measuring the engine there.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)
@@ -315,19 +318,27 @@ int main() {
   // ------------------------------------------------- 4. dense path payoff
   // Fully active, low average degree: per-vertex bookkeeping dominates
   // per-message work, which is exactly where the sparse path's worklist
-  // maintenance (survivor lists, set_union rebuild, messaged-vertex sort)
-  // loses to flat per-local-slot addressing. The gated quantity is
-  // SUPERSTEP throughput, measured from SuperstepStats::host_seconds:
-  // engine setup is excluded by construction, and the statistic — min
-  // across interleaved repetitions per superstep index, then the median
-  // ratio across superstep indices — is robust against the CPU-steal
-  // noise of shared CI hosts (both tails of a rep hitting a noisy
-  // window are discarded). 8 workers keep the shared per-vertex arrays
-  // cache-line-efficient so the comparison isolates path overhead
-  // rather than the strided-layout cost both paths pay equally at 29.
+  // maintenance (survivor lists, set_union rebuild, messaged-vertex
+  // ordering) is pure overhead next to flat per-local-slot addressing.
+  // The gate counts that bookkeeping per superstep barrier; counts are
+  // exact on any host, so a dense build that starts ordering its inboxes
+  // again, or an adaptive policy that stops picking dense, fails here
+  // whatever the machine. The host-time ratio (min across interleaved
+  // repetitions per superstep index, then the median ratio across
+  // indices) is reported. 8 workers keep the shared
+  // per-vertex arrays cache-line-efficient so the ratio isolates path
+  // overhead rather than the strided-layout cost both paths pay equally
+  // at 29.
   std::printf("dense-vs-sparse payoff (fully-active low-degree PageRank)...\n");
   const Graph low_degree =
       GenerateRmat({20, 300000, 0.57, 0.19, 0.19, 77}).MoveValue();
+  // Every PageRank vertex with an out-edge messages along it every
+  // superstep, so each barrier delivers to exactly the vertices with an
+  // in-edge.
+  uint64_t messaged = 0;
+  for (VertexId v = 0; v < low_degree.num_vertices(); ++v) {
+    messaged += low_degree.in_degree(v) > 0;
+  }
   bsp::EngineOptions payoff;
   payoff.num_workers = 8;
   payoff.num_threads = 0;
@@ -335,20 +346,28 @@ int main() {
   // [path sparse=0,dense=1][superstep] -> min host seconds across reps.
   std::vector<std::vector<double>> best(
       2, std::vector<double>(kPayoffSteps, 1e9));
+  // [path sparse=0,dense=1,adaptive=2] -> the first rep's stats.
+  std::vector<bsp::RunStats> counted(3);
   bool payoff_ok = true;
   const int payoff_reps = kSanitized ? 2 : kPayoffReps;
   for (int rep = 0; rep < payoff_reps && payoff_ok; ++rep) {
-    for (int p = 0; p < 2; ++p) {
-      payoff.superstep_path =
-          p == 0 ? bsp::SuperstepPath::kSparse : bsp::SuperstepPath::kDense;
+    for (int p = 0; p < 3; ++p) {
+      if (p == 2 && rep > 0) break;  // adaptive is counted, not timed
+      payoff.superstep_path = p == 0   ? bsp::SuperstepPath::kSparse
+                              : p == 1 ? bsp::SuperstepPath::kDense
+                                       : bsp::SuperstepPath::kAdaptive;
       auto run_result = TimePageRank(low_degree, payoff);
-      if (!run_result.ok()) {
+      if (!run_result.ok() ||
+          run_result->stats.num_supersteps() != kPayoffSteps) {
         std::printf("FAIL: payoff run failed: %s\n",
-                    run_result.status().ToString().c_str());
+                    run_result.ok() ? "wrong superstep count"
+                                    : run_result.status().ToString().c_str());
         ++g_failures;
         payoff_ok = false;
         break;
       }
+      if (rep == 0) counted[p] = run_result->stats;
+      if (p == 2) continue;
       for (int s = 0; s < kPayoffSteps; ++s) {
         best[p][s] =
             std::min(best[p][s], run_result->stats.supersteps[s].host_seconds);
@@ -357,6 +376,44 @@ int main() {
   }
   double speedup = 0.0;
   if (payoff_ok) {
+    // Every barrier of the run delivers PageRank's messages, so every
+    // superstep's counts are gated.
+    uint64_t dense_ordered = 0, sparse_short = 0, adaptive_sparse = 0;
+    uint64_t sparse_min_ordered = UINT64_MAX;
+    for (int s = 0; s < kPayoffSteps; ++s) {
+      const bsp::SuperstepStats& sparse = counted[0].supersteps[s];
+      const bsp::SuperstepStats& dense = counted[1].supersteps[s];
+      const bsp::SuperstepStats& adaptive = counted[2].supersteps[s];
+      dense_ordered += dense.barrier_work.entries_sorted +
+                       dense.barrier_work.slots_swept +
+                       dense.barrier_work.worklist_entries;
+      const uint64_t sparse_ordered = sparse.barrier_work.entries_sorted +
+                                      sparse.barrier_work.slots_swept;
+      sparse_min_ordered = std::min(sparse_min_ordered, sparse_ordered);
+      sparse_short += sparse_ordered < messaged;
+      adaptive_sparse += !adaptive.dense_path;
+    }
+    std::printf("  barrier work per superstep: |messaged| %llu, sparse "
+                "sorts+sweeps >= %llu, dense sorts+sweeps+rebuilds %llu in "
+                "total, adaptive sparse supersteps %llu/%d\n",
+                static_cast<unsigned long long>(messaged),
+                static_cast<unsigned long long>(sparse_min_ordered),
+                static_cast<unsigned long long>(dense_ordered),
+                static_cast<unsigned long long>(adaptive_sparse),
+                kPayoffSteps);
+    Check(dense_ordered == 0,
+          "dense barriers must sort no entry, sweep no owned slot and "
+          "rebuild no worklist on the fully-active workload");
+    Check(sparse_short == 0,
+          "sparse barriers must sort or sweep at least |messaged| entries");
+    Check(adaptive_sparse == 0,
+          "the adaptive policy must pick dense on the fully-active workload");
+    json.Add("messaged_per_superstep", static_cast<size_t>(messaged));
+    json.Add("sparse_min_sorted_or_swept",
+             static_cast<size_t>(sparse_min_ordered));
+    json.Add("dense_sorted_swept_rebuilt", static_cast<size_t>(dense_ordered));
+    json.Add("adaptive_sparse_supersteps", static_cast<size_t>(adaptive_sparse));
+
     // Superstep 0 delivers no messages (nothing was sent yet), so the
     // paths are compared from superstep 1 on.
     std::vector<double> ratios, sparse_ms, dense_ms;
@@ -370,16 +427,9 @@ int main() {
     std::sort(dense_ms.begin(), dense_ms.end());
     speedup = ratios[ratios.size() / 2];
     std::printf("  per superstep (median of min-over-%d-reps): "
-                "sparse %.2f ms, dense %.2f ms  (%.2fx)\n",
+                "sparse %.2f ms, dense %.2f ms  (%.2fx, reported)\n",
                 payoff_reps, sparse_ms[sparse_ms.size() / 2],
                 dense_ms[dense_ms.size() / 2], speedup);
-    if (kSanitized) {
-      std::printf("  sanitizer build: payoff floor reported, not gated\n");
-    } else {
-      Check(speedup >= kMinDenseSpeedup,
-            "dense path must be >= 1.5x sparse superstep throughput on the "
-            "fully-active workload");
-    }
     json.Add("sparse_superstep_ms", sparse_ms[sparse_ms.size() / 2]);
     json.Add("dense_superstep_ms", dense_ms[dense_ms.size() / 2]);
   }
@@ -421,7 +471,6 @@ int main() {
   json.Add("compressed_ratio", ratio);
   json.Add("max_compressed_ratio", kMaxCompressedRatio);
   json.Add("dense_speedup", speedup);
-  json.Add("min_dense_speedup", kMinDenseSpeedup);
   json.Add("budget_mb", kMemoryBudgetBytes / 1048576.0);
   json.Add("pass", ok);
   json.Write();

@@ -8,6 +8,7 @@
 // the registry + spec machinery carries all the information PREDIcT
 // needs.
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 
@@ -46,6 +47,14 @@ class BfsProgram : public bsp::VertexProgram<uint32_t, uint32_t> {
       ctx->SendMessageToAllNeighbors(distance + 1);
     }
     ctx->VoteToHalt();
+  }
+
+  // Compute only keeps its inbox's minimum, so the engine may fold each
+  // inbox down to it at the barrier (a Pregel combiner). The engine
+  // finds this hook on the concrete type; the counters still charge
+  // every message at send time, so predictions do not change.
+  void Combine(uint32_t& into, const uint32_t& message) const {
+    into = std::min(into, message);
   }
 
   uint64_t MessageBytes(const uint32_t&) const override { return 8; }

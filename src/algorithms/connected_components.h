@@ -15,6 +15,7 @@
 #ifndef PREDICT_ALGORITHMS_CONNECTED_COMPONENTS_H_
 #define PREDICT_ALGORITHMS_CONNECTED_COMPONENTS_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "algorithms/algorithm_spec.h"
@@ -36,6 +37,11 @@ class ConnectedComponentsProgram final
   ComponentValue InitialValue(VertexId v, const Graph& graph) const override;
   void Compute(bsp::VertexContext<ComponentValue, VertexId>* ctx,
                std::span<const VertexId> messages) override;
+
+  /// Compute only takes its inbox's minimum label.
+  void Combine(VertexId& into, const VertexId& message) const {
+    into = std::min(into, message);
+  }
 
   /// 4-byte label + 4-byte header.
   uint64_t MessageBytes(const VertexId& message) const override {

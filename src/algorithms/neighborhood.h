@@ -50,6 +50,15 @@ class NeighborhoodProgram final
                std::span<const NeighborhoodMessage> messages) override;
   void MasterCompute(bsp::MasterContext* ctx) override;
 
+  /// Compute ORs its inbox into the sketch register by register, and a
+  /// register changes iff the inbox's OR has a bit it lacks.
+  void Combine(NeighborhoodMessage& into,
+               const NeighborhoodMessage& message) const {
+    for (size_t r = 0; r < kNeighborhoodRegisters; ++r) {
+      into.sketch[r] |= message.sketch[r];
+    }
+  }
+
   /// 8-byte header + 4 bytes per register.
   uint64_t MessageBytes(const NeighborhoodMessage& message) const override {
     (void)message;

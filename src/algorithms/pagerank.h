@@ -44,6 +44,9 @@ class PageRankProgram final
                std::span<const double> messages) override;
   void MasterCompute(bsp::MasterContext* ctx) override;
 
+  /// Compute only sums its inbox, so the engine may pre-sum it.
+  void Combine(double& into, const double& message) const { into += message; }
+
   /// 8-byte rank + 4-byte vertex id header on the wire.
   uint64_t MessageBytes(const double& message) const override {
     (void)message;

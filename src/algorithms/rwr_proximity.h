@@ -46,6 +46,9 @@ class RwrProximityProgram final
                std::span<const double> messages) override;
   void MasterCompute(bsp::MasterContext* ctx) override;
 
+  /// Compute only sums its inbox, so the engine may pre-sum it.
+  void Combine(double& into, const double& message) const { into += message; }
+
   uint64_t MessageBytes(const double&) const override { return 12; }
   uint64_t VertexStateBytes(const RwrValue&) const override { return 16; }
   uint64_t FixedVertexStateBytes() const override { return 16; }

@@ -8,17 +8,61 @@ namespace predict {
 
 namespace {
 
-// Deterministic candidate ordering: score descending, then member list
-// lexicographic (clusters are value types; no pointer identity involved).
-struct ClusterOrder {
-  double boundary_factor;
-  bool operator()(const SemiCluster& a, const SemiCluster& b) const {
-    const double sa = a.Score(boundary_factor);
-    const double sb = b.Score(boundary_factor);
-    if (sa != sb) return sa > sb;
-    return a.members < b.members;
+// S_c of a cluster with `size` members; SemiCluster::Score and the
+// candidate handles both score through here, so they agree bit for bit.
+double ClusterScore(double internal_weight, double boundary_weight,
+                    size_t size, double boundary_factor) {
+  const double vc = static_cast<double>(size);
+  const double denom = std::max(1.0, vc * (vc - 1.0) / 2.0);
+  return (internal_weight - boundary_factor * boundary_weight) / denom;
+}
+
+// A candidate cluster ranked without copying it: its member list stays
+// where it already lives (a received message, the vertex's own state, or
+// the Compute call's extension pool) and its score is computed once.
+struct ClusterHandle {
+  std::span<const VertexId> members;  // sorted ascending
+  double internal_weight;
+  double boundary_weight;
+  double score;
+
+  bool ContainsVertex(VertexId v) const {
+    return std::binary_search(members.begin(), members.end(), v);
+  }
+  bool operator==(const ClusterHandle& other) const {
+    return std::ranges::equal(members, other.members);
+  }
+  SemiCluster ToCluster() const {
+    return {{members.begin(), members.end()}, internal_weight, boundary_weight};
   }
 };
+
+ClusterHandle MakeHandle(std::span<const VertexId> members,
+                         double internal_weight, double boundary_weight,
+                         double boundary_factor) {
+  return {members, internal_weight, boundary_weight,
+          ClusterScore(internal_weight, boundary_weight, members.size(),
+                       boundary_factor)};
+}
+
+ClusterHandle HandleOf(const SemiCluster& cluster, double boundary_factor) {
+  return MakeHandle(cluster.members, cluster.internal_weight,
+                    cluster.boundary_weight, boundary_factor);
+}
+
+// Deterministic candidate ordering: score descending, then member list
+// lexicographic (clusters are value types; no pointer identity involved).
+bool HandleOrder(const ClusterHandle& a, const ClusterHandle& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return std::ranges::lexicographical_compare(a.members, b.members);
+}
+
+// Sorts by HandleOrder and drops adjacent duplicate member lists.
+void SortUnique(std::vector<ClusterHandle>* handles) {
+  std::sort(handles->begin(), handles->end(), HandleOrder);
+  handles->erase(std::unique(handles->begin(), handles->end()),
+                 handles->end());
+}
 
 // Sorted snapshot of a vertex's incident edges, built once per Compute
 // call so that extending a cluster costs O(v_max * log deg) instead of
@@ -43,7 +87,7 @@ class IncidentEdges {
   double total_weight() const { return total_weight_; }
 
   // Total edge weight from this vertex to `members`.
-  double WeightTo(const std::vector<VertexId>& members) const {
+  double WeightTo(std::span<const VertexId> members) const {
     double sum = 0.0;
     for (const VertexId m : members) {
       auto it = std::lower_bound(
@@ -69,9 +113,8 @@ bool SemiCluster::ContainsVertex(VertexId v) const {
 }
 
 double SemiCluster::Score(double boundary_factor) const {
-  const double vc = static_cast<double>(members.size());
-  const double denom = std::max(1.0, vc * (vc - 1.0) / 2.0);
-  return (internal_weight - boundary_factor * boundary_weight) / denom;
+  return ClusterScore(internal_weight, boundary_weight, members.size(),
+                      boundary_factor);
 }
 
 const AlgorithmSpec& SemiClusteringSpec() {
@@ -124,7 +167,6 @@ void SemiClusteringProgram::Compute(
     std::span<const SemiClusterMessage> messages) {
   const VertexId self = ctx->id();
   std::vector<SemiCluster>& own = ctx->value().clusters;
-  const ClusterOrder order{boundary_factor_};
 
   if (ctx->superstep() == 0) {
     // Send the singleton cluster to all neighbors.
@@ -137,60 +179,81 @@ void SemiClusteringProgram::Compute(
   }
 
   // Candidates for forwarding: every received cluster plus the extension
-  // of each one by this vertex (when legal).
-  const IncidentEdges incident(*ctx);
-  std::vector<SemiCluster> candidates;
+  // of each one by this vertex (when legal). The extensions' member
+  // lists go into one pool, sized up front so the spans into it stay
+  // valid.
+  size_t pool_size = 0;
   for (const SemiClusterMessage& msg : messages) {
     for (const SemiCluster& cluster : *msg.clusters) {
-      candidates.push_back(cluster);
+      pool_size += cluster.members.size() + 1;
+    }
+  }
+  std::vector<VertexId> pool;
+  pool.reserve(pool_size);
+  const IncidentEdges incident(*ctx);
+  std::vector<ClusterHandle> candidates;
+  for (const SemiClusterMessage& msg : messages) {
+    for (const SemiCluster& cluster : *msg.clusters) {
+      candidates.push_back(HandleOf(cluster, boundary_factor_));
       if (!cluster.ContainsVertex(self) && cluster.members.size() < v_max_) {
         const double to_members = incident.WeightTo(cluster.members);
         const double total = incident.total_weight();
-        SemiCluster extended = cluster;
-        extended.members.insert(
-            std::lower_bound(extended.members.begin(), extended.members.end(),
-                             self),
-            self);
+        const auto insert_at = std::lower_bound(cluster.members.begin(),
+                                                cluster.members.end(), self);
+        const size_t begin = pool.size();
+        pool.insert(pool.end(), cluster.members.begin(), insert_at);
+        pool.push_back(self);
+        pool.insert(pool.end(), insert_at, cluster.members.end());
         // Edges from this vertex to members become internal; members'
         // boundary edges towards this vertex stop being boundary; this
         // vertex's other incident edges become new boundary edges.
-        extended.internal_weight += to_members;
-        extended.boundary_weight += (total - to_members) - to_members;
-        candidates.push_back(std::move(extended));
+        candidates.push_back(MakeHandle(
+            {pool.data() + begin, pool.size() - begin},
+            cluster.internal_weight + to_members,
+            cluster.boundary_weight + ((total - to_members) - to_members),
+            boundary_factor_));
       }
     }
   }
-
-  std::sort(candidates.begin(), candidates.end(), order);
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  SortUnique(&candidates);
 
   // Forward the s_max best known clusters.
   if (!candidates.empty() && ctx->out_degree() > 0) {
-    auto forwarded = std::make_shared<std::vector<SemiCluster>>(
-        candidates.begin(),
-        candidates.begin() + std::min(s_max_, candidates.size()));
+    auto forwarded = std::make_shared<std::vector<SemiCluster>>();
+    const size_t count = std::min(s_max_, candidates.size());
+    forwarded->reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      forwarded->push_back(candidates[i].ToCluster());
+    }
     ctx->SendMessageToAllNeighbors(SemiClusterMessage{std::move(forwarded)});
   }
 
   // Update this vertex's list of c_max best clusters containing itself.
-  std::vector<SemiCluster> containing = own;
-  for (const SemiCluster& cluster : candidates) {
+  std::vector<ClusterHandle> containing;
+  for (const SemiCluster& cluster : own) {
+    containing.push_back(HandleOf(cluster, boundary_factor_));
+  }
+  for (const ClusterHandle& cluster : candidates) {
     if (cluster.ContainsVertex(self)) containing.push_back(cluster);
   }
-  std::sort(containing.begin(), containing.end(), order);
-  containing.erase(std::unique(containing.begin(), containing.end()),
-                   containing.end());
+  SortUnique(&containing);
   if (containing.size() > c_max_) containing.resize(c_max_);
 
   // A cluster counts as updated if it was not in the previous list.
   uint64_t updated = 0;
-  for (const SemiCluster& cluster : containing) {
-    if (std::find(own.begin(), own.end(), cluster) == own.end()) ++updated;
+  std::vector<SemiCluster> kept;
+  kept.reserve(containing.size());
+  for (const ClusterHandle& cluster : containing) {
+    const bool known = std::any_of(
+        own.begin(), own.end(), [&](const SemiCluster& previous) {
+          return std::ranges::equal(cluster.members, previous.members);
+        });
+    if (!known) ++updated;
+    kept.push_back(cluster.ToCluster());
   }
   ctx->Aggregate(updated_agg_, static_cast<double>(updated));
-  ctx->Aggregate(total_agg_, static_cast<double>(containing.size()));
-  own = std::move(containing);
+  ctx->Aggregate(total_agg_, static_cast<double>(kept.size()));
+  own = std::move(kept);
   // Vertices stay active; the master's update-ratio check stops the run.
 }
 

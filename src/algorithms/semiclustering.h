@@ -40,10 +40,6 @@ struct SemiCluster {
 
   bool ContainsVertex(VertexId v) const;
   double Score(double boundary_factor) const;
-
-  bool operator==(const SemiCluster& other) const {
-    return members == other.members;
-  }
 };
 
 /// Per-vertex state: up to c_max best clusters containing this vertex.

@@ -74,6 +74,10 @@ void TopKRankingProgram::Compute(
   } else {
     for (const TopKMessage& msg : messages) {
       for (const RankEntry& entry : *msg.entries) {
+        // A full list rejects an entry that does not rank strictly above
+        // its tail, and stays unchanged. The message's entries come
+        // best-first, so MergeEntry would reject every later one too.
+        if (list.size() >= k_ && !EntryLess(entry, list.back())) break;
         changed |= MergeEntry(&list, entry, k_);
       }
     }

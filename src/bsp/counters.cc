@@ -16,6 +16,14 @@ WorkerCounters& WorkerCounters::operator+=(const WorkerCounters& other) {
   return *this;
 }
 
+BarrierWork& BarrierWork::operator+=(const BarrierWork& other) {
+  entries_sorted += other.entries_sorted;
+  slots_swept += other.slots_swept;
+  worklist_entries += other.worklist_entries;
+  payload_slots += other.payload_slots;
+  return *this;
+}
+
 WorkerCounters SuperstepStats::Totals() const {
   WorkerCounters totals;
   for (const WorkerCounters& w : per_worker) totals += w;

@@ -46,6 +46,28 @@ struct WorkerCounters {
   WorkerCounters& operator+=(const WorkerCounters& other);
 };
 
+/// Host work one superstep barrier did to build the next superstep's
+/// inboxes and worklists (bsp/message_store.h, bsp/worklist.h). Like
+/// SuperstepStats::host_seconds this is host profiling output: it depends
+/// on the superstep path and on whether the program combines its
+/// messages, never on anything simulated, and stays out of every result
+/// fingerprint. Unlike host_seconds it is exact on any host, so gates
+/// compare these counts instead of wall-clock ratios.
+struct BarrierWork {
+  /// Messaged-vertex entries put in order by a comparison sort.
+  uint64_t entries_sorted = 0;
+  /// Owned slots visited by O(owned) passes: the stamp scan that orders
+  /// a mostly-messaged list, and the worklist rebuild from active flags.
+  uint64_t slots_swept = 0;
+  /// Entries of the rebuilt worklists (survivors union messaged).
+  uint64_t worklist_entries = 0;
+  /// Inbox payload slots written: one per message, or one per messaged
+  /// vertex when the program combines.
+  uint64_t payload_slots = 0;
+
+  BarrierWork& operator+=(const BarrierWork& other);
+};
+
 /// Everything recorded about one superstep of a run.
 struct SuperstepStats {
   int superstep = 0;
@@ -71,6 +93,11 @@ struct SuperstepStats {
   /// uses it to compare per-superstep throughput of the two paths with
   /// per-superstep granularity (robust statistics over noisy hosts).
   double host_seconds = 0.0;
+  /// Work of the barrier that ended this superstep, summed over workers
+  /// (host profiling like host_seconds, excluded from fingerprints). That
+  /// barrier shapes the inboxes for the NEXT superstep's path, so a dense
+  /// superstep followed by a sparse one sorts or sweeps here.
+  BarrierWork barrier_work;
 
   /// Sum of the per-worker counters.
   WorkerCounters Totals() const;

@@ -11,9 +11,11 @@
 //
 // The hot path is allocation-free in steady state: messages flow through
 // per-worker chunked arenas that are bucket-sorted into contiguous
-// CSR-style slabs at the superstep barrier (bsp/message_store.h), and
-// each superstep touches only O(active + messaged) vertices via
-// per-worker worklists (bsp/worklist.h) instead of scanning all |V|.
+// CSR-style slabs at the superstep barrier (bsp/message_store.h), or
+// folded into one slot per vertex for programs that declare a combiner
+// (bsp/vertex_program.h), and each superstep touches only
+// O(active + messaged) vertices via per-worker worklists
+// (bsp/worklist.h) instead of scanning all |V|.
 //
 // Host threads only accelerate the simulation — simulated time, counters
 // and results are bit-identical for any thread count. Per vertex,
@@ -146,9 +148,10 @@ class EngineState {
 
   /// `Program` is the concrete program type when the caller has one —
   /// marking the class `final` lets the compiler devirtualize and inline
-  /// Compute into the superstep loop (all in-tree algorithms do).
-  /// Calling through the VertexProgram<V, M> base keeps today's virtual
-  /// dispatch; results are identical either way.
+  /// Compute into the superstep loop (all in-tree algorithms do), and a
+  /// Combine() it declares selects the combined barrier builds. Calling
+  /// through the VertexProgram<V, M> base keeps virtual dispatch and
+  /// delivers every message; results are identical either way.
   template <typename Program>
   Result<RunStats> Run(Program* program);
 
@@ -187,6 +190,8 @@ class EngineState {
   /// Survivor counts of the last dense-path compute phase (the dense
   /// path maintains no survivor lists; see worklist.h RebuildFromFlags).
   std::vector<uint64_t> dense_survivors_;
+  /// Per-worker work of the current barrier, summed into SuperstepStats.
+  std::vector<BarrierWork> barrier_work_;
   /// Per-worker adjacency decode buffers backing VertexContext::
   /// out_neighbors() on compressed graphs (plain graphs bypass them).
   std::vector<std::vector<VertexId>> out_scratch_;
@@ -332,6 +337,7 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
   worklists_.resize(num_workers_);
   state_bytes_.assign(num_workers_, 0);
   dense_survivors_.assign(num_workers_, 0);
+  barrier_work_.assign(num_workers_, BarrierWork{});
   out_scratch_.assign(num_workers_, {});
   counters_.assign(num_workers_, WorkerCounters{});
   agg_partial_.assign(num_workers_, {});
@@ -353,6 +359,14 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
   // Everything is active at superstep 0, so kAdaptive starts dense (the
   // decision rule sees survivors = |V|, messages = 0).
   bool dense_now = NextSuperstepDense(n, 0);
+
+  // A program whose concrete type declares Combine() gets combined
+  // barrier builds: one inbox slot per messaged vertex, folded in
+  // delivery order. Resolved at compile time; calling through the
+  // VertexProgram<V, M> base finds no Combine and places every message.
+  constexpr bool kCombines = requires(const Program& p, M& into, const M& m) {
+    p.Combine(into, m);
+  };
 
   for (superstep_ = 0; superstep_ < options_.max_supersteps; ++superstep_) {
     const auto superstep_start = std::chrono::steady_clock::now();
@@ -401,24 +415,37 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
     }
     const bool next_dense = NextSuperstepDense(active_count, messages_sent);
 
-    // Messaging phase: sort outboxes into each worker's incoming slab,
-    // shaped for whichever path the NEXT superstep runs. The dense build
-    // skips messaged-vertex discovery and the worklist entirely; the
-    // sparse build additionally rebuilds the worklist (from survivor
-    // lists, or from the active flags when this superstep ran dense).
+    // Messaging phase: build each worker's incoming slab from its
+    // outboxes, shaped for whichever path the NEXT superstep runs. The
+    // dense build skips ordering the messaged vertices and the worklist
+    // entirely; the sparse build orders them and rebuilds the worklist
+    // (from survivor lists, or from the active flags when this superstep
+    // ran dense). Each worker tallies that work in barrier_work_.
     pool_->ParallelFor(num_workers_, [&](uint64_t w64) {
       const WorkerId w = static_cast<WorkerId>(w64);
+      BarrierWork& work = barrier_work_[w];
+      work = BarrierWork{};
       if (next_dense) {
-        messages_.BuildIncomingSlabDense(w);
+        if constexpr (kCombines) {
+          messages_.BuildIncomingSlabDense(w, &work, *program);
+        } else {
+          messages_.BuildIncomingSlabDense(w, &work);
+        }
         return;
       }
       WorkerWorklist& worklist = worklists_[w];
-      messages_.BuildIncomingSlab(w, worklist.messaged());
+      if constexpr (kCombines) {
+        messages_.BuildIncomingSlab(w, worklist.messaged(), &work, *program);
+      } else {
+        messages_.BuildIncomingSlab(w, worklist.messaged(), &work);
+      }
       if (dense_now) {
         worklist.RebuildFromFlags(w, partition_, active_.data());
+        work.slots_swept += partition_.NumOwned(w);
       } else {
         worklist.Rebuild();
       }
+      work.worklist_entries += worklist.current().size();
     });
 
     // Superstep accounting.
@@ -426,6 +453,7 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
     step.superstep = superstep_;
     step.per_worker = counters_;
     step.dense_path = dense_now;
+    for (const BarrierWork& work : barrier_work_) step.barrier_work += work;
     step.host_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - superstep_start)
                             .count();
@@ -515,8 +543,9 @@ class Engine {
   /// Executes the program to completion (or OOM / max supersteps).
   /// Deduces the concrete program type: in-tree programs are `final`, so
   /// the compiler devirtualizes and inlines Compute into the superstep
-  /// loop. Passing a VertexProgram<V, M>* keeps virtual dispatch with
-  /// identical results.
+  /// loop, and a program that declares Combine() gets one inbox slot per
+  /// messaged vertex. Passing a VertexProgram<V, M>* keeps virtual
+  /// dispatch and uncombined inboxes with identical results.
   template <typename Program>
     requires std::is_base_of_v<VertexProgram<V, M>, Program>
   Result<RunStats> Run(const Graph& graph, Program* program) {
@@ -528,7 +557,8 @@ class Engine {
   }
 
   /// Base-pointer overload (also catches a literal nullptr, which cannot
-  /// deduce the template): virtual dispatch, identical results.
+  /// deduce the template): virtual dispatch and every message delivered
+  /// (the general path, and the combiner's reference), identical results.
   Result<RunStats> Run(const Graph& graph, VertexProgram<V, M>* program) {
     return Run<VertexProgram<V, M>>(graph, program);
   }

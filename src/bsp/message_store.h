@@ -12,9 +12,20 @@
 //    supersteps).
 //
 //  * Incoming slabs: at the superstep barrier each destination worker
-//    bucket-sorts everything queued for it into one contiguous
-//    CSR-style (offsets, payload) slab, so Compute reads a vertex's
-//    inbox as a contiguous std::span with zero per-vertex allocation.
+//    gathers everything queued for it into one contiguous slab, so
+//    Compute reads a vertex's inbox as a contiguous std::span with zero
+//    per-vertex allocation. The slab is built one of two ways:
+//
+//      - Placed (any program): a stable two-pass counting sort. Pass 1
+//        counts messages per target and discovers the messaged vertices;
+//        a prefix sum gives each a payload range; pass 2 moves every
+//        payload into its range.
+//      - Combined (programs whose concrete type declares Combine(), see
+//        bsp/vertex_program.h): one pass. Every owned vertex has one
+//        payload slot at its local index; a target's first message
+//        claims it and every later one is folded into it with Combine,
+//        so the inbox Compute sees is the left fold of its messages.
+//        The dense variant keeps no messaged list at all.
 //
 // Vertex ownership and local addressing come from a bsp::PartitionMap
 // (bsp/partition.h): the store is agnostic to the strategy and only
@@ -23,14 +34,16 @@
 //
 // Delivery order is the engine's determinism contract: per vertex,
 // messages appear ordered by sender worker ascending, and within one
-// sender by send-call order. The bucket sort below is a stable two-pass
-// counting sort over the senders in ascending order, which preserves
-// exactly that order for any host thread count.
+// sender by send-call order. Both builds walk the senders in ascending
+// order and each outbox in append order, so the placed inbox lists, and
+// the combined slot folds, exactly that order for any host thread count.
 //
 // The slab's per-vertex offset entries are epoch-stamped so that only
 // O(messaged vertices) entries are touched per superstep: a stale entry
 // from an earlier superstep simply fails the stamp check and reads as
-// an empty inbox. Nothing here scans all owned vertices.
+// an empty inbox. Apart from the stamp scan that orders a mostly-
+// messaged list (counted in BarrierWork::slots_swept), nothing here
+// scans all owned vertices.
 
 #ifndef PREDICT_BSP_MESSAGE_STORE_H_
 #define PREDICT_BSP_MESSAGE_STORE_H_
@@ -167,138 +180,53 @@ class MessageStore {
     return outboxes_.data() + static_cast<size_t>(sender) * num_workers_;
   }
 
-  /// Barrier phase: bucket-sorts everything queued for `w` into w's slab
-  /// and clears the consumed outboxes. Appends each owned vertex that
-  /// received at least one message to *messaged (ascending vertex ids).
+  /// Barrier phase for a sparse next superstep: places everything
+  /// queued for `w` into w's slab, clears the consumed outboxes, and
+  /// fills *messaged with the global ids of the owned vertices that
+  /// received at least one message, ascending (the worklist's input).
   /// Safe to call concurrently for distinct `w`.
-  void BuildIncomingSlab(WorkerId w, std::vector<VertexId>* messaged) {
-    Slab& slab = slabs_[w];
-    SlabEntry* const entries = slab.entries.data();
-    const uint32_t stamp = ++slab.stamp;
-    messaged->clear();
-
-    // Pass 1: per-vertex counts (accumulated in entry.begin) and
-    // first-touch discovery of messaged vertices (as local indices).
-    // Only the locals stream is touched.
-    uint64_t total = 0;
-    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
-      Outbox& box = OutboxFor(sender, w);
-      box.ForEachLocal([&](uint32_t target_local) {
-        SlabEntry& entry = entries[target_local];
-        if (entry.epoch != stamp) {
-          entry.epoch = stamp;
-          entry.begin = 0;
-          messaged->push_back(target_local);
-        }
-        entry.begin++;
-      });
-      total += box.size();
-    }
-    // The worklist needs the messaged vertices in ascending order. Local
-    // indices sort in the same order as the global ids they map to (the
-    // partition map keeps owned lists ascending). When most owned
-    // vertices were messaged anyway (dense supersteps, e.g. PageRank), a
-    // linear stamp scan beats the comparison sort and is still
-    // O(messaged).
-    if (messaged->size() >= slab.entries.size() / 4) {
-      messaged->clear();
-      const uint32_t owned = static_cast<uint32_t>(slab.entries.size());
-      for (uint32_t l = 0; l < owned; ++l) {
-        if (entries[l].epoch == stamp) messaged->push_back(l);
-      }
-    } else {
-      std::sort(messaged->begin(), messaged->end());
-    }
-
-    // Prefix-sum the counts into offsets; `end` doubles as the fill
-    // cursor and lands on the true span end after pass 2.
-    uint32_t running = 0;
-    for (const VertexId l : *messaged) {
-      SlabEntry& entry = entries[l];
-      const uint32_t count = entry.begin;
-      entry.begin = running;
-      entry.end = running;
-      running += count;
-    }
-    if (slab.payload.size() < total) slab.payload.resize(total);
-
-    // Pass 2: stable placement. Iterating senders in ascending order and
-    // each outbox in append order yields the per-vertex delivery order
-    // (sender worker asc, within-sender send order).
-    M* const payload_out = slab.payload.data();
-    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
-      Outbox& box = OutboxFor(sender, w);
-      box.ForEachMessage([&](uint32_t target_local, M& payload) {
-        payload_out[entries[target_local].end++] = std::move(payload);
-      });
-      box.Clear();
-    }
-
-    // Hand the worklist global vertex ids. The modulo branch keeps the
-    // hash fast path free of table loads.
-    if (partition_->is_modulo()) {
-      for (VertexId& v : *messaged) v = v * num_workers_ + w;
-    } else {
-      for (VertexId& v : *messaged) v = partition_->GlobalId(w, v);
-    }
+  void BuildIncomingSlab(WorkerId w, std::vector<VertexId>* messaged,
+                         BarrierWork* work) {
+    CountMessages(w, messaged);
+    // Ordered before placement, so payload ranges follow the ascending
+    // order the worklist computes in.
+    OrderMessaged(w, messaged, work);
+    PlaceCounted(w, *messaged, work);
+    ToGlobalIds(w, messaged);
   }
 
-  /// Dense-superstep variant of BuildIncomingSlab: the next superstep
-  /// enumerates owned vertices itself, so no worklist handoff is needed —
-  /// and that makes the messaged-vertex SORT unnecessary too. The slab
-  /// only requires each messaged vertex to own a disjoint payload range;
-  /// the ranges' relative position carries no meaning (per-vertex
-  /// delivery order comes from the placement pass iterating senders
-  /// ascending in append order, identical to the sparse build). So the
-  /// prefix sum walks the first-touch list in discovery order:
-  /// O(messages + messaged) with no O(owned) pass and no sort — cheaper
-  /// than the sparse build by exactly the bookkeeping the worklist
-  /// needs, which is what BM_DenseSuperstep measures. Safe to call
+  /// BuildIncomingSlab for a program that declares a combiner:
+  /// `combiner.Combine(into, message)` folds each message into its
+  /// target's one payload slot, in delivery order. Same messaged list,
+  /// same concurrency contract (Combine runs concurrently for distinct
+  /// `w`, so it must only touch its arguments).
+  template <typename Combiner>
+  void BuildIncomingSlab(WorkerId w, std::vector<VertexId>* messaged,
+                         BarrierWork* work, const Combiner& combiner) {
+    CombineMessages(w, messaged, work, combiner);
+    OrderMessaged(w, messaged, work);
+    ToGlobalIds(w, messaged);
+  }
+
+  /// Dense-superstep variant: the next superstep enumerates owned
+  /// vertices itself, so no worklist handoff is needed, and that makes
+  /// the messaged-vertex ORDER unnecessary too. The slab only requires
+  /// each messaged vertex to own a disjoint payload range; where the
+  /// ranges sit carries no meaning. So the discovery-order list is the
+  /// whole bookkeeping: O(messages + messaged) with no O(owned) pass and
+  /// no sort, which is what BM_DenseSuperstep measures. Safe to call
   /// concurrently for distinct `w`.
-  void BuildIncomingSlabDense(WorkerId w) {
-    Slab& slab = slabs_[w];
-    SlabEntry* const entries = slab.entries.data();
-    const uint32_t stamp = ++slab.stamp;
-    std::vector<uint32_t>& touched = slab.touched;
-    touched.clear();
+  void BuildIncomingSlabDense(WorkerId w, BarrierWork* work) {
+    std::vector<VertexId>& touched = slabs_[w].touched;
+    CountMessages(w, &touched);
+    PlaceCounted(w, touched, work);
+  }
 
-    // Pass 1: per-vertex counts + first-touch discovery (unsorted).
-    uint64_t total = 0;
-    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
-      Outbox& box = OutboxFor(sender, w);
-      box.ForEachLocal([&](uint32_t target_local) {
-        SlabEntry& entry = entries[target_local];
-        if (entry.epoch != stamp) {
-          entry.epoch = stamp;
-          entry.begin = 0;
-          touched.push_back(target_local);
-        }
-        entry.begin++;
-      });
-      total += box.size();
-    }
-
-    // Prefix sum in discovery order; untouched entries keep a stale
-    // epoch and read as empty inboxes via the stamp check.
-    uint32_t running = 0;
-    for (const uint32_t l : touched) {
-      SlabEntry& entry = entries[l];
-      const uint32_t count = entry.begin;
-      entry.begin = running;
-      entry.end = running;
-      running += count;
-    }
-    if (slab.payload.size() < total) slab.payload.resize(total);
-
-    // Stable placement, identical to the sparse build's pass 2.
-    M* const payload_out = slab.payload.data();
-    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
-      Outbox& box = OutboxFor(sender, w);
-      box.ForEachMessage([&](uint32_t target_local, M& payload) {
-        payload_out[entries[target_local].end++] = std::move(payload);
-      });
-      box.Clear();
-    }
+  /// BuildIncomingSlabDense for a program that declares a combiner.
+  template <typename Combiner>
+  void BuildIncomingSlabDense(WorkerId w, BarrierWork* work,
+                              const Combiner& combiner) {
+    CombineMessages(w, nullptr, work, combiner);
   }
 
   /// MessagesFor by precomputed local index — the dense compute path
@@ -342,16 +270,139 @@ class MessageStore {
   /// the phases are separated by a ParallelFor barrier, so a single
   /// buffer per worker suffices and is rebuilt in place.
   struct Slab {
-    std::vector<M> payload;  // all messages, grouped by local index
+    /// Placed: every message, grouped by target. Combined: one folded
+    /// message per owned vertex, at its local index.
+    std::vector<M> payload;
     std::vector<SlabEntry> entries;
-    /// Dense-build scratch: first-touched locals in discovery order
-    /// (capacity retained across supersteps).
-    std::vector<uint32_t> touched;
-    uint32_t stamp = 0;      // incremented per BuildIncomingSlab
+    /// Placed dense build's scratch: first-touched locals in discovery
+    /// order (capacity retained across supersteps).
+    std::vector<VertexId> touched;
+    uint32_t stamp = 0;      // incremented per slab build
   };
 
   Outbox& OutboxFor(WorkerId sender, WorkerId dest) {
     return outboxes_[static_cast<size_t>(sender) * num_workers_ + dest];
+  }
+
+  /// Pass 1 of the placed build: per-vertex counts (accumulated in
+  /// entry.begin) and first-touch discovery of the messaged locals into
+  /// *touched, in discovery order. Only the locals stream is read.
+  void CountMessages(WorkerId w, std::vector<VertexId>* touched) {
+    Slab& slab = slabs_[w];
+    SlabEntry* const entries = slab.entries.data();
+    const uint32_t stamp = ++slab.stamp;
+    touched->clear();
+    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
+      OutboxFor(sender, w).ForEachLocal([&](uint32_t target_local) {
+        SlabEntry& entry = entries[target_local];
+        if (entry.epoch != stamp) {
+          entry.epoch = stamp;
+          entry.begin = 0;
+          touched->push_back(target_local);
+        }
+        entry.begin++;
+      });
+    }
+  }
+
+  /// Pass 2 of the placed build: a prefix sum over the counted locals in
+  /// the order given, then stable placement. Iterating senders in
+  /// ascending order and each outbox in append order yields the
+  /// per-vertex delivery order (sender worker asc, within-sender send
+  /// order). Clears the consumed outboxes.
+  void PlaceCounted(WorkerId w, const std::vector<VertexId>& touched,
+                    BarrierWork* work) {
+    Slab& slab = slabs_[w];
+    SlabEntry* const entries = slab.entries.data();
+    // `end` doubles as the fill cursor and lands on the true span end.
+    uint32_t running = 0;
+    for (const VertexId l : touched) {
+      SlabEntry& entry = entries[l];
+      const uint32_t count = entry.begin;
+      entry.begin = running;
+      entry.end = running;
+      running += count;
+    }
+    if (slab.payload.size() < running) slab.payload.resize(running);
+
+    M* const payload_out = slab.payload.data();
+    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
+      Outbox& box = OutboxFor(sender, w);
+      box.ForEachMessage([&](uint32_t target_local, M& payload) {
+        payload_out[entries[target_local].end++] = std::move(payload);
+      });
+      box.Clear();
+    }
+    work->payload_slots += running;
+  }
+
+  /// The combined build: one pass in delivery order. Each owned vertex
+  /// has a fixed payload slot at its local index, so the next compute
+  /// phase reads entries and payloads as two streams in the same order.
+  /// A target's first message claims the slot and every later one is
+  /// folded into it. Appends the messaged locals to *touched in
+  /// discovery order unless `touched` is null (dense next superstep).
+  template <typename Combiner>
+  void CombineMessages(WorkerId w, std::vector<VertexId>* touched,
+                       BarrierWork* work, const Combiner& combiner) {
+    Slab& slab = slabs_[w];
+    SlabEntry* const entries = slab.entries.data();
+    const uint32_t stamp = ++slab.stamp;
+    if (touched != nullptr) touched->clear();
+    if (slab.payload.size() < slab.entries.size()) {
+      slab.payload.resize(slab.entries.size());
+    }
+
+    M* const payload_out = slab.payload.data();
+    uint64_t slots = 0;
+    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
+      Outbox& box = OutboxFor(sender, w);
+      box.ForEachMessage([&](uint32_t target_local, M& payload) {
+        SlabEntry& entry = entries[target_local];
+        if (entry.epoch == stamp) {
+          combiner.Combine(payload_out[target_local], payload);
+          return;
+        }
+        entry.epoch = stamp;
+        entry.begin = target_local;
+        entry.end = target_local + 1;
+        payload_out[target_local] = std::move(payload);
+        ++slots;
+        if (touched != nullptr) touched->push_back(target_local);
+      });
+      box.Clear();
+    }
+    work->payload_slots += slots;
+  }
+
+  /// Puts the discovery-order messaged locals in ascending order, which
+  /// is also ascending global order (the partition map keeps owned lists
+  /// ascending). When most owned vertices were messaged anyway, a linear
+  /// stamp scan beats the comparison sort and is still O(messaged).
+  void OrderMessaged(WorkerId w, std::vector<VertexId>* messaged,
+                     BarrierWork* work) {
+    const Slab& slab = slabs_[w];
+    const uint32_t owned = static_cast<uint32_t>(slab.entries.size());
+    if (messaged->size() >= owned / 4) {
+      messaged->clear();
+      for (uint32_t l = 0; l < owned; ++l) {
+        if (slab.entries[l].epoch == slab.stamp) messaged->push_back(l);
+      }
+      work->slots_swept += owned;
+    } else {
+      std::sort(messaged->begin(), messaged->end());
+      work->entries_sorted += messaged->size();
+    }
+  }
+
+  /// Hands the worklist global vertex ids. The modulo branch keeps the
+  /// hash fast path free of table loads.
+  void ToGlobalIds(WorkerId w, std::vector<VertexId>* messaged) const {
+    if (partition_->is_modulo()) {
+      for (VertexId& v : *messaged) v = v * num_workers_ + w;
+    } else {
+      for (VertexId& v : *messaged) v = partition_->GlobalId(w, v);
+    }
   }
 
   const PartitionMap* partition_ = nullptr;

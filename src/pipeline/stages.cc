@@ -60,11 +60,17 @@ std::string SampleArtifact::ContentKey() const {
 }
 
 std::string TransformArtifact::ConfigKey() const {
+  // Cache keys must never truncate (the SamplerOptionsKey discipline):
+  // names are appended whole, and only the number goes through a buffer
+  // that every %.17g rendering fits.
   std::string key;
   for (const auto& [name, value] : sample_config) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s=%.17g;", name.c_str(), value);
-    key += buf;
+    char number[32];
+    std::snprintf(number, sizeof(number), "%.17g", value);
+    key += name;
+    key += '=';
+    key += number;
+    key += ';';
   }
   return key;
 }

@@ -157,6 +157,17 @@ TEST(TransformArtifactTest, ConfigKeyIsCanonical) {
   EXPECT_NE(a.ConfigKey(), c.ConfigKey());
 }
 
+// A registered algorithm may use long parameter names. Two values of
+// one long-named parameter must still get two keys, or the profile cache
+// would serve one config's sample run for the other.
+TEST(TransformArtifactTest, ConfigKeyNeverTruncatesLongNames) {
+  const std::string name(60, 'p');
+  TransformArtifact a = HandTransform("pagerank", {{name, 0.125}});
+  TransformArtifact b = HandTransform("pagerank", {{name, 0.5}});
+  EXPECT_NE(a.ConfigKey(), b.ConfigKey());
+  EXPECT_EQ(a.ConfigKey(), name + "=0.125;");
+}
+
 // ----------------------------------------------------------- ProfileStage
 
 TEST(ProfileStageTest, ProfilesHandBuiltSampleArtifact) {
