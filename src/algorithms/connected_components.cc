@@ -46,11 +46,7 @@ Result<ConnectedComponentsResult> RunConnectedComponents(
     const Graph& graph, const bsp::EngineOptions& engine_options) {
   PREDICT_ASSIGN_OR_RETURN(Graph undirected, ToUndirected(graph));
   ConnectedComponentsProgram program;
-  // The engine runs on the derived undirected graph, which transforms
-  // always emit plain — the flag follows it, not the input (pagerank.cc).
-  bsp::EngineOptions options = engine_options;
-  options.compressed_graph = undirected.edges_compressed();
-  bsp::Engine<ComponentValue, VertexId> engine(options);
+  bsp::Engine<ComponentValue, VertexId> engine(engine_options);
   PREDICT_ASSIGN_OR_RETURN(bsp::RunStats stats, engine.Run(undirected, &program));
   ConnectedComponentsResult result;
   result.stats = std::move(stats);

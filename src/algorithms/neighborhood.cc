@@ -101,11 +101,7 @@ Result<NeighborhoodResult> RunNeighborhoodEstimation(
                            ResolveConfig(NeighborhoodSpec(), overrides));
   PREDICT_ASSIGN_OR_RETURN(Graph undirected, ToUndirected(graph));
   NeighborhoodProgram program(config);
-  // The flag follows the derived undirected graph, not the input
-  // (see pagerank.cc).
-  bsp::EngineOptions options = engine_options;
-  options.compressed_graph = undirected.edges_compressed();
-  bsp::Engine<NeighborhoodValue, NeighborhoodMessage> engine(options);
+  bsp::Engine<NeighborhoodValue, NeighborhoodMessage> engine(engine_options);
   PREDICT_ASSIGN_OR_RETURN(bsp::RunStats stats, engine.Run(undirected, &program));
   NeighborhoodResult result;
   result.stats = std::move(stats);

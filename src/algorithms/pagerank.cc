@@ -71,15 +71,7 @@ Result<PageRankResult> RunPageRank(const Graph& graph,
   PREDICT_ASSIGN_OR_RETURN(AlgorithmConfig config,
                            ResolveConfig(PageRankSpec(), overrides));
   PageRankProgram program(config);
-  // Each Run* owns the compressed_graph flag for the graph it actually
-  // hands the engine: callers describe the INPUT graph, but algorithms
-  // that transform first (connected components, semi-clustering,
-  // neighborhood) run on a plain derived graph regardless of the input's
-  // representation. The engine's strict flag==representation check still
-  // guards direct Engine users.
-  bsp::EngineOptions options = engine_options;
-  options.compressed_graph = graph.edges_compressed();
-  bsp::Engine<PageRankValue, double> engine(options);
+  bsp::Engine<PageRankValue, double> engine(engine_options);
   PREDICT_ASSIGN_OR_RETURN(bsp::RunStats stats, engine.Run(graph, &program));
   PageRankResult result;
   result.stats = std::move(stats);

@@ -85,10 +85,7 @@ Result<RwrResult> RunRwrProximity(const Graph& graph,
                            ResolveConfig(RwrProximitySpec(), overrides));
   const VertexId source = ResolveRwrSource(config, graph);
   RwrProximityProgram program(config, source);
-  // The flag describes the graph the engine sees (see pagerank.cc).
-  bsp::EngineOptions options = engine_options;
-  options.compressed_graph = graph.edges_compressed();
-  bsp::Engine<RwrValue, double> engine(options);
+  bsp::Engine<RwrValue, double> engine(engine_options);
   PREDICT_ASSIGN_OR_RETURN(bsp::RunStats stats, engine.Run(graph, &program));
   RwrResult result;
   result.source = source;

@@ -290,11 +290,7 @@ Result<SemiClusteringResult> RunSemiClustering(
                            ResolveConfig(SemiClusteringSpec(), overrides));
   PREDICT_ASSIGN_OR_RETURN(Graph undirected, ToUndirected(graph));
   SemiClusteringProgram program(config);
-  // The flag follows the derived undirected graph, not the input
-  // (see pagerank.cc).
-  bsp::EngineOptions options = engine_options;
-  options.compressed_graph = undirected.edges_compressed();
-  bsp::Engine<SemiClusterValue, SemiClusterMessage> engine(options);
+  bsp::Engine<SemiClusterValue, SemiClusterMessage> engine(engine_options);
   PREDICT_ASSIGN_OR_RETURN(bsp::RunStats stats, engine.Run(undirected, &program));
   SemiClusteringResult result;
   result.stats = std::move(stats);

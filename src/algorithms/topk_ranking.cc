@@ -124,10 +124,7 @@ Result<TopKResult> RunTopKRanking(const Graph& graph,
   }
 
   TopKRankingProgram program(config, ranks);
-  // The flag describes the graph the engine sees (see pagerank.cc).
-  bsp::EngineOptions options = engine_options;
-  options.compressed_graph = graph.edges_compressed();
-  bsp::Engine<TopKValue, TopKMessage> engine(options);
+  bsp::Engine<TopKValue, TopKMessage> engine(engine_options);
   PREDICT_ASSIGN_OR_RETURN(bsp::RunStats stats, engine.Run(graph, &program));
   TopKResult result;
   result.stats = std::move(stats);

@@ -117,12 +117,6 @@ struct EngineOptions {
   /// the choice never affects results, only host wall clock.
   double dense_path_threshold = 0.6;
 
-  /// Must match Graph::edges_compressed() of the input graph — the
-  /// engine rejects a mismatch rather than silently running a config
-  /// whose cache key (EngineOptionsKey) disagrees with the graph
-  /// representation actually executed.
-  bool compressed_graph = false;
-
   CostProfile cost_profile;
 };
 
@@ -292,16 +286,6 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
   if (num_workers_ == 0) return Status::InvalidArgument("num_workers == 0");
   if (options_.max_supersteps <= 0) {
     return Status::InvalidArgument("max_supersteps must be positive");
-  }
-  if (options_.compressed_graph != graph_->edges_compressed()) {
-    // A silent mismatch would run a representation the cache key
-    // (scenario EngineOptionsKey) does not describe; fail loudly instead.
-    return Status::InvalidArgument(
-        options_.compressed_graph
-            ? "EngineOptions.compressed_graph is set but the input graph "
-              "stores plain edges"
-            : "input graph stores compressed edges but "
-              "EngineOptions.compressed_graph is unset");
   }
 
   // Partition the vertex space ("the read phase assigns partitions").

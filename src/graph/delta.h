@@ -42,16 +42,6 @@
 // there is returned annotated "graph_compact". Either way the current
 // version, its Fingerprint() and its lineage() are unchanged, and
 // retrying the batch reaches the version an unfaulted graph reaches.
-//
-// Two behaviours changed when this class stopped keeping a pending-delta
-// overlay (batches held beside the last built CSR until a read folded
-// them in):
-//   - a delete that follows an insert of a parallel (src, dst) edge with
-//     a different weight removes the edge with the lower weight bits,
-//     whatever the batching; the overlay cancelled the pending insert
-//     unless a read had folded it in;
-//   - a faulted Apply applies nothing; the overlay kept the batch
-//     pending.
 
 #ifndef PREDICT_GRAPH_DELTA_H_
 #define PREDICT_GRAPH_DELTA_H_

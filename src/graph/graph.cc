@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 
 namespace predict {
 
@@ -96,15 +95,6 @@ Result<Graph> Graph::FromEdges(VertexId num_vertices,
                                std::vector<Edge>&& edges) {
   GraphBuilder builder(num_vertices);
   builder.AddEdges(std::move(edges));
-  return builder.Build();
-}
-
-Result<Graph> Graph::FromEdges(
-    VertexId num_vertices, const std::vector<Edge>& edges,
-    const std::vector<std::pair<VertexId, VertexId>>& removals) {
-  GraphBuilder builder(num_vertices);
-  builder.AddEdges(edges);
-  for (const auto& [src, dst] : removals) builder.RemoveEdge(src, dst);
   return builder.Build();
 }
 
@@ -370,46 +360,6 @@ Result<Graph> GraphBuilder::Build() {
           ") references a vertex >= num_vertices=" +
           std::to_string(num_vertices_));
     }
-  }
-
-  // Apply removals: each deletes one matching pending edge (first-added
-  // occurrence). Validated strictly — a removal that names an unknown
-  // vertex or fails to find an edge (non-existent edge, absent
-  // self-loop, duplicate removal beyond the multiplicity) is an error
-  // carrying the offending pair, never a silent no-op.
-  if (!removals_.empty()) {
-    const auto pack = [](VertexId s, VertexId d) {
-      return (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(d);
-    };
-    for (const auto& [src, dst] : removals_) {
-      if (src >= num_vertices_ || dst >= num_vertices_) {
-        return Status::InvalidArgument(
-            "edge removal (" + std::to_string(src) + " -> " +
-            std::to_string(dst) + ") references a vertex >= num_vertices=" +
-            std::to_string(num_vertices_));
-      }
-    }
-    std::unordered_map<uint64_t, uint64_t> pending;  // pair -> removals left
-    for (const auto& [src, dst] : removals_) pending[pack(src, dst)]++;
-    uint64_t write = 0;
-    for (const Edge& e : edges_) {
-      const auto it = pending.find(pack(e.src, e.dst));
-      if (it != pending.end() && it->second > 0) {
-        --it->second;
-        continue;
-      }
-      edges_[write++] = e;
-    }
-    edges_.resize(write);
-    for (const auto& [src, dst] : removals_) {
-      const auto it = pending.find(pack(src, dst));
-      if (it != pending.end() && it->second > 0) {
-        return Status::InvalidArgument(
-            "removal of a non-existent edge (" + std::to_string(src) +
-            " -> " + std::to_string(dst) + ")");
-      }
-    }
-    removals_.clear();
   }
 
   if (drop_self_loops_) {

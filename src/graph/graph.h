@@ -88,15 +88,6 @@ class Graph {
   static Result<Graph> FromEdges(VertexId num_vertices,
                                  std::vector<Edge>&& edges);
 
-  /// Builds a graph from an edge batch carrying deletions: `removals`
-  /// are (src, dst) pairs, each deleting one matching edge from `edges`.
-  /// Every removal is validated — an unknown vertex id, a delete of a
-  /// non-existent edge, or a duplicate removal beyond an edge's
-  /// multiplicity is InvalidArgument carrying the offending (src, dst).
-  static Result<Graph> FromEdges(
-      VertexId num_vertices, const std::vector<Edge>& edges,
-      const std::vector<std::pair<VertexId, VertexId>>& removals);
-
   /// \brief Trusted constructor from prebuilt CSR arrays; the fast path
   /// for transforms that assemble adjacency directly (InducedSubgraph,
   /// Transpose, ToUndirected) without an edge-list round trip.
@@ -384,16 +375,6 @@ class GraphBuilder {
   /// Pre-sizes the pending edge list for `count` further AddEdge calls.
   void ReserveEdges(uint64_t count) { edges_.reserve(edges_.size() + count); }
 
-  /// Deletes one pending edge matching (src, dst) at Build time (the
-  /// first-added occurrence). Build validates every removal: an unknown
-  /// vertex id, a delete of a non-existent edge (including a self-loop
-  /// delete with no matching loop), or duplicate removals exceeding the
-  /// edge's multiplicity fail with InvalidArgument carrying the
-  /// offending (src, dst) — deletions are never dropped silently.
-  void RemoveEdge(VertexId src, VertexId dst) {
-    removals_.emplace_back(src, dst);
-  }
-
   /// Drop self-loops at Build time (default keeps them).
   void set_drop_self_loops(bool drop) { drop_self_loops_ = drop; }
 
@@ -411,7 +392,6 @@ class GraphBuilder {
  private:
   VertexId num_vertices_;
   std::vector<Edge> edges_;
-  std::vector<std::pair<VertexId, VertexId>> removals_;
   bool drop_self_loops_ = false;
   bool dedup_parallel_edges_ = false;
   bool compress_edges_ = false;

@@ -32,6 +32,22 @@ auto RunStage(const char* stage, const StageContext& ctx, Fn&& fn)
   return result;
 }
 
+// The one body of every SampleStage run: stamp the artifact's key,
+// consult the sample.walk fail point, then draw the sample.
+template <typename DrawFn>
+Result<SampleArtifact> RunSampleStage(const Graph& graph,
+                                      const SamplerOptions& options,
+                                      const StageContext& ctx, DrawFn draw) {
+  return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
+    SampleArtifact artifact;
+    artifact.key = SampleKey::For(graph, options);
+    PREDICT_FAIL_POINT_CTX("sample.walk",
+                           fail::HashContext(artifact.key.ToString()));
+    PREDICT_ASSIGN_OR_RETURN(artifact.sample, draw());
+    return artifact;
+  });
+}
+
 }  // namespace
 
 SampleKey SampleKey::For(const Graph& graph, const SamplerOptions& options) {
@@ -77,27 +93,15 @@ std::string TransformArtifact::ConfigKey() const {
 
 Result<SampleArtifact> SampleStage::Run(const Graph& graph,
                                         const StageContext& ctx) const {
-  return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
-    SampleArtifact artifact;
-    artifact.key = SampleKey::For(graph, options_);
-    PREDICT_FAIL_POINT_CTX("sample.walk",
-                           fail::HashContext(artifact.key.ToString()));
-    PREDICT_ASSIGN_OR_RETURN(artifact.sample, SampleGraph(graph, options_));
-    return artifact;
-  });
+  return RunSampleStage(graph, options_, ctx,
+                        [&] { return SampleGraph(graph, options_); });
 }
 
 Result<SampleArtifact> SampleStage::RunRecorded(const Graph& graph,
                                                 SampleWalkRecord* record,
                                                 const StageContext& ctx) const {
-  return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
-    SampleArtifact artifact;
-    artifact.key = SampleKey::For(graph, options_);
-    PREDICT_FAIL_POINT_CTX("sample.walk",
-                           fail::HashContext(artifact.key.ToString()));
-    PREDICT_ASSIGN_OR_RETURN(artifact.sample,
-                             SampleGraphRecorded(graph, options_, record));
-    return artifact;
+  return RunSampleStage(graph, options_, ctx, [&] {
+    return SampleGraphRecorded(graph, options_, record);
   });
 }
 
@@ -105,25 +109,16 @@ Result<SampleArtifact> SampleStage::RunIncremental(
     const Graph& graph, const std::vector<VertexId>& dirty,
     const SampleWalkRecord& record, SampleWalkRecord* updated,
     IncrementalStats* stats, const StageContext& ctx) const {
-  return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
-    if (!(record.options == options_)) {
-      return Status::InvalidArgument(
-          "walk record was made with different sampler options");
-    }
-    SampleArtifact artifact;
-    artifact.key = SampleKey::For(graph, options_);
-    PREDICT_FAIL_POINT_CTX("sample.walk",
-                           fail::HashContext(artifact.key.ToString()));
+  if (!(record.options == options_)) {
+    return Status::InvalidArgument(
+        "sample_stage: walk record was made with different sampler options");
+  }
+  return RunSampleStage(graph, options_, ctx, [&]() -> Result<Sample> {
     PREDICT_ASSIGN_OR_RETURN(
         IncrementalSampleResult incremental,
         ResampleIncremental(graph, dirty, record, updated));
-    if (stats != nullptr) {
-      stats->segments_total = incremental.segments_total;
-      stats->segments_reused = incremental.segments_reused;
-      stats->full_resample = incremental.full_resample;
-    }
-    artifact.sample = std::move(incremental.sample);
-    return artifact;
+    if (stats != nullptr) *stats = incremental;
+    return std::move(incremental.sample);
   });
 }
 

@@ -59,18 +59,15 @@ class SampleStage {
                                      const StageContext& ctx = {}) const;
 
   /// How an incremental stage run got its sample.
-  struct IncrementalStats {
-    uint64_t segments_total = 0;
-    uint64_t segments_reused = 0;
-    bool full_resample = false;
-  };
+  using IncrementalStats = IncrementalSampleStats;
 
   /// Re-derives the sample for a mutated `graph`, re-walking only
-  /// segments whose trajectory touched a vertex in `dirty` (see
-  /// ResampleIncremental). The artifact is bit-identical to Run(graph)
-  /// with the same options; `updated` (non-null, distinct from
-  /// `record`) receives the new walk record and `stats` (may be null)
-  /// the reuse counts.
+  /// segments whose trajectory touched a vertex in `dirty`;
+  /// ResampleIncremental decides whether `record` can be spliced at all.
+  /// The artifact is bit-identical to Run(graph) with the same options;
+  /// `updated` (non-null, distinct from `record`) receives the new walk
+  /// record and `stats` (may be null) the reuse counts. A record made
+  /// with other sampler options is InvalidArgument.
   Result<SampleArtifact> RunIncremental(const Graph& graph,
                                         const std::vector<VertexId>& dirty,
                                         const SampleWalkRecord& record,

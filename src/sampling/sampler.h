@@ -54,9 +54,11 @@ struct SamplerOptions {
   /// function of (graph, options, i) — the property incremental
   /// re-sampling (ResampleIncremental) splices unaffected segments
   /// through on. 0 (default) keeps the classic single-stream walk;
-  /// nonzero with MHRW/FF is InvalidArgument. Different values sample
-  /// different (equally valid) vertex sets, so this is part of the
-  /// cache key (";seg=N" suffix, appended only when nonzero).
+  /// nonzero with MHRW/FF is InvalidArgument, and so is a segment longer
+  /// than the walk's whole step budget, 200 * target + 1000 steps for a
+  /// target of round(sampling_ratio * |V|) vertices. Different values
+  /// sample different (equally valid) vertex sets, so this is part of
+  /// the cache key (";seg=N" suffix, appended only when nonzero).
   uint64_t walk_segment_steps = 0;
 
   bool operator==(const SamplerOptions& other) const = default;
@@ -99,12 +101,12 @@ Result<std::vector<VertexId>> SampleVertices(const Graph& graph,
 ///
 /// A segment whose trajectory avoids every mutated vertex walks
 /// identically on the mutated graph, so ResampleIncremental replays its
-/// recorded trajectory instead of re-walking it.
+/// recorded trajectory instead of re-walking it. Which records it may
+/// splice from is ResampleIncremental's decision alone.
 struct SampleWalkRecord {
   SamplerOptions options;
   /// Graph::Fingerprint() of the graph this record was walked on.
   uint64_t graph_fingerprint = 0;
-  uint64_t num_vertices = 0;
   /// True iff the walk was segmented (walk_segment_steps > 0, RJ/BRJ);
   /// false means ResampleIncremental always falls back to a full
   /// resample.
@@ -116,7 +118,9 @@ struct SampleWalkRecord {
   /// segment_offsets[i+1]). Every visited vertex appears, in walk order.
   std::vector<uint64_t> segment_offsets;
   std::vector<VertexId> visits;
-  /// Dense |V| byte bitmap: 1 iff any segment visited the vertex.
+  /// Dense byte bitmap over the walked graph's |V| vertices (so its size
+  /// is that |V|): 1 iff any segment visited the vertex. Empty for an
+  /// unsegmented walk.
   std::vector<uint8_t> touched;
 };
 
@@ -127,28 +131,39 @@ Result<Sample> SampleGraphRecorded(const Graph& graph,
                                    const SamplerOptions& options,
                                    SampleWalkRecord* record);
 
-/// Outcome of an incremental re-sample.
-struct IncrementalSampleResult {
-  Sample sample;
+/// How ResampleIncremental got its sample.
+struct IncrementalSampleStats {
   /// Segments composing the new sample / of those, replayed from the
   /// record without re-walking.
   uint64_t segments_total = 0;
   uint64_t segments_reused = 0;
-  /// True when incremental maintenance was impossible (unsegmented
-  /// record, |V| changed, or the BRJ seed set shifted) and the sample
-  /// was drawn from scratch instead.
+  /// True when the record could not be spliced (see ResampleIncremental)
+  /// and the sample was drawn from scratch instead.
   bool full_resample = false;
+};
+
+/// Outcome of an incremental re-sample: the stats plus the sample.
+struct IncrementalSampleResult : IncrementalSampleStats {
+  Sample sample;
 };
 
 /// \brief Re-derives the sample on a mutated graph, re-walking only
 /// segments whose recorded trajectory touched a vertex in `dirty` (the
 /// DirtyOutVertices set between the recorded graph and `graph`).
 ///
-/// The result is bit-identical to SampleGraphRecorded(graph,
+/// Every rule about when `record` can be spliced lives here, checked
+/// before anything walks. The record must be a segmented RJ/BRJ walk
+/// (supports_incremental) of a graph with `graph`'s |V| (touched.size()),
+/// its BRJ seed set must be the one `graph` yields, and `dirty` may name
+/// at most |V|/4 vertices — past that the splice check itself stops
+/// paying. Otherwise the sample is drawn from scratch and the result says
+/// full_resample. A dirty id >= |V| is InvalidArgument, checked first.
+///
+/// Either way the result is bit-identical to SampleGraphRecorded(graph,
 /// record.options, ...) — a from-scratch resample of the mutated graph —
 /// at a fraction of the walk cost when the churn misses most
 /// trajectories. `updated` (non-null, distinct from `record`) receives
-/// the record for the new graph.
+/// the record for the new graph, equal to the one that cold walk writes.
 Result<IncrementalSampleResult> ResampleIncremental(
     const Graph& graph, const std::vector<VertexId>& dirty,
     const SampleWalkRecord& record, SampleWalkRecord* updated);

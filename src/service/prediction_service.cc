@@ -1,7 +1,6 @@
 #include "service/prediction_service.h"
 
 #include <condition_variable>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -88,53 +87,37 @@ Result<ValuePtr> PredictionService::GetOrCompute(
 
 Result<PredictionService::SamplePtr> PredictionService::ComputeSample(
     const Graph& graph, const pipeline::StageContext& ctx) {
-  if (stages_.sample.options().walk_segment_steps == 0) {
-    // An unsegmented walk has no segments to splice: nothing to record.
-    PREDICT_ASSIGN_OR_RETURN(pipeline::SampleArtifact artifact,
-                             stages_.sample.Run(graph, ctx));
-    return std::make_shared<const pipeline::SampleArtifact>(
-        std::move(artifact));
-  }
-
-  // Take the retained walk record (if any); a concurrent compute for
-  // another graph simply finds the slot empty and walks cold. Either way
-  // the artifact is bit-identical — the record is a pure accelerator.
-  std::optional<SampleWalkRecord> prev;
+  // The record is an immutable snapshot: concurrent computes may all
+  // splice from it.
+  std::shared_ptr<const SampleWalkRecord> record;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    prev.swap(incremental_record_);
+    record = walk_record_;
   }
 
-  // A version built from the graph the record was walked on re-walks
-  // only the segments its lineage's dirty rows touch; past ~25% dirty
-  // vertices the splice check itself stops paying. Any other graph
-  // walks from scratch.
+  // A version whose lineage names the record's graph hands the sampler
+  // its dirty rows; the sampler decides whether the record can be
+  // spliced. Any other graph walks from scratch.
   const GraphLineage* lineage = graph.lineage();
-  const bool incremental =
-      prev.has_value() && lineage != nullptr &&
-      lineage->parent_fingerprint == prev->graph_fingerprint &&
-      lineage->dirty.size() * 4 <= graph.num_vertices();
-
-  SampleWalkRecord updated;
+  const bool from_record = record != nullptr && lineage != nullptr &&
+                           lineage->parent_fingerprint ==
+                               record->graph_fingerprint;
+  auto updated = std::make_shared<SampleWalkRecord>();
   pipeline::SampleStage::IncrementalStats inc_stats;
-  Result<pipeline::SampleArtifact> artifact =
-      incremental ? stages_.sample.RunIncremental(graph, lineage->dirty, *prev,
-                                                  &updated, &inc_stats, ctx)
-                  : stages_.sample.RunRecorded(graph, &updated, ctx);
+  PREDICT_ASSIGN_OR_RETURN(
+      pipeline::SampleArtifact artifact,
+      from_record
+          ? stages_.sample.RunIncremental(graph, lineage->dirty, *record,
+                                          updated.get(), &inc_stats, ctx)
+          : stages_.sample.RunRecorded(graph, updated.get(), ctx));
+
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!artifact.ok()) {
-    // Put the record back for the retry, unless a concurrent compute
-    // has already stored a newer one.
-    if (!incremental_record_.has_value()) incremental_record_ = std::move(prev);
-    return artifact.status();
-  }
-  incremental_record_ = std::move(updated);
-  if (incremental && !inc_stats.full_resample) {
+  walk_record_ = std::move(updated);
+  if (from_record && !inc_stats.full_resample) {
     ++stats_.incremental_sample_updates;
     stats_.incremental_segments_reused += inc_stats.segments_reused;
   }
-  return std::make_shared<const pipeline::SampleArtifact>(
-      artifact.MoveValue());
+  return std::make_shared<const pipeline::SampleArtifact>(std::move(artifact));
 }
 
 Result<PredictionReport> PredictionService::Predict(
@@ -319,10 +302,10 @@ ServiceCacheEvictions PredictionService::ClearCaches() {
   ServiceCacheEvictions evicted;
   evicted.sample_entries = sample_cache_.size();
   evicted.profile_entries = profile_cache_.size();
-  evicted.incremental_states = incremental_record_.has_value() ? 1 : 0;
+  evicted.incremental_states = walk_record_ != nullptr ? 1 : 0;
   sample_cache_.clear();
   profile_cache_.clear();
-  incremental_record_.reset();
+  walk_record_.reset();
   return evicted;
 }
 

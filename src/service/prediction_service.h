@@ -25,12 +25,15 @@
 // Keying profiles on the sample's content rather than the graph version
 // keeps them hitting across graph churn that leaves the sample unchanged.
 //
-// Evolving graphs: when predictor.sampler.walk_segment_steps > 0, the
-// service keeps the walk record of the last graph it sampled, and a
-// sample-cache miss for the EvolvingGraph version Apply built next from
-// that graph (see GraphLineage) re-walks only the segments its changed
-// rows touch — bit-identical to the from-scratch walk every other graph
-// gets.
+// Evolving graphs: the service keeps the walk record of the last graph it
+// sampled, and a sample-cache miss for an EvolvingGraph version Apply
+// built from that graph (see GraphLineage) hands the record and the
+// version's changed rows to the sampler. With
+// predictor.sampler.walk_segment_steps > 0 it re-walks only the segments
+// those rows touch; ResampleIncremental (sampling/sampler.h) holds every
+// rule on when it may splice, and otherwise walks from scratch. Either
+// way the sample is bit-identical to the from-scratch walk every other
+// graph gets.
 //
 // Determinism contract: every stage is deterministic, so a report served
 // from warm caches under any concurrency is bit-identical to a cold
@@ -198,8 +201,9 @@ class PredictionService {
                                 uint64_t& hits, uint64_t& misses, bool& hit,
                                 Compute compute);
 
-  /// Computes the sample artifact on a cache miss: incrementally from
-  /// the retained walk record when possible, from scratch otherwise.
+  /// Computes the sample artifact on a cache miss: from the retained
+  /// walk record when the graph's lineage names its graph, from scratch
+  /// otherwise.
   Result<SamplePtr> ComputeSample(const Graph& graph,
                                   const pipeline::StageContext& ctx);
 
@@ -227,15 +231,13 @@ class PredictionService {
   /// whose caches were cleared (a "restart") can still answer from the
   /// previous epoch's profiles when the fresh run fails.
   std::unordered_map<std::string, ProfilePtr> last_good_profiles_;
-  /// The walk record of the last graph this service sampled (it holds
+  /// The walk record of the last sample this service computed (it holds
   /// that graph's fingerprint) — the splice source for a child version's
-  /// incremental re-sample. One slot: the evolving-graph workload this
-  /// serves is "predict, churn, re-predict" on one logical graph. A
-  /// compute in flight takes the slot (so a concurrent sample for a
-  /// different graph falls back to a cold walk) and stores the
-  /// refreshed record back when done, or the record it took when its
-  /// walk failed and no newer one has arrived.
-  std::optional<SampleWalkRecord> incremental_record_;
+  /// incremental re-sample. One immutable snapshot: the evolving-graph
+  /// workload this serves is "predict, churn, re-predict" on one logical
+  /// graph. A compute copies the pointer and publishes its own record
+  /// only on success, so a failed walk leaves the last good one in place.
+  std::shared_ptr<const SampleWalkRecord> walk_record_;
   ServiceCacheStats stats_;
 };
 

@@ -212,17 +212,6 @@ TEST(DeltaValidationTest, NetDeltaValidationAllowsDeleteOfBatchInsert) {
   EXPECT_EQ(g.num_edges(), 2u);
 }
 
-TEST(DeltaValidationTest, GraphBuilderRemovalsMatchOverlaySemantics) {
-  // The builder-level validation mirrors Apply: same offending-pair
-  // message shape for a bad removal.
-  auto bad = Graph::FromEdges(3, {{0, 1, 1.0f}}, {{1, 2}});
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_NE(bad.status().message().find("(1 -> 2)"), std::string::npos);
-  auto good = Graph::FromEdges(3, {{0, 1, 1.0f}, {1, 2, 1.0f}}, {{0, 1}});
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(good->num_edges(), 1u);
-}
-
 // ---------------------------------------------------------- versioning
 
 TEST(DeltaFingerprintTest, NeverZeroAndStableAcrossCompaction) {

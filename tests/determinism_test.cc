@@ -295,8 +295,8 @@ TEST(DeterminismTest, SuperstepPathsBitIdentical) {
 // produce bit-identical RESULTS: the representation changes decode cost
 // and simulated memory accounting (a compressed graph genuinely occupies
 // fewer simulated bytes — that is the point), never ranks, iteration
-// count, or message traffic. The Run* wrappers set
-// EngineOptions::compressed_graph from the graph they pass the engine.
+// count, or message traffic. The engine reads the representation off
+// the graph it runs.
 TEST(DeterminismTest, CompressedGraphRunsBitIdenticalToPlain) {
   const Graph compressed = Graph::WithCompressedEdges(GoldenPrGraph());
   auto plain_run =
@@ -368,27 +368,6 @@ TEST(DeterminismTest, DeliveryOrderIsSenderWorkerThenSendOrder) {
     ASSERT_TRUE(engine.Run(g, &program).ok()) << "threads=" << threads;
     EXPECT_EQ(engine.vertex_values()[0], expected) << "threads=" << threads;
   }
-}
-
-// A mismatched compressed_graph flag must fail loudly, not silently
-// mis-simulate: the strict check is what keeps profile caches honest
-// when direct Engine users pass their own options.
-TEST(DeterminismTest, EngineRejectsCompressedFlagMismatch) {
-  GraphBuilder b(4);
-  b.AddEdge(0, 1);
-  const Graph plain = b.Build().MoveValue();
-  Graph compressed = Graph::WithCompressedEdges(plain);
-  HashChainProgram program;
-
-  EngineOptions options;
-  options.num_workers = 2;
-  options.compressed_graph = true;  // but the graph is plain
-  Engine<int64_t, int64_t> engine(options);
-  EXPECT_TRUE(engine.Run(plain, &program).status().IsInvalidArgument());
-
-  options.compressed_graph = false;  // but the graph is compressed
-  Engine<int64_t, int64_t> engine2(options);
-  EXPECT_TRUE(engine2.Run(compressed, &program).status().IsInvalidArgument());
 }
 
 }  // namespace

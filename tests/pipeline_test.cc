@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "algorithms/runner.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 #include "pipeline/artifacts.h"
 #include "pipeline/stages.h"
@@ -95,6 +96,78 @@ TEST(SampleStageTest, DeterministicForFixedOptions) {
   EXPECT_EQ(a->sample.vertices, b->sample.vertices);
   EXPECT_EQ(a->sample.subgraph.Fingerprint(), b->sample.subgraph.Fingerprint());
   EXPECT_EQ(a->key.ToString(), b->key.ToString());
+}
+
+// A segmented stage and a graph version one edge insert away from the
+// version it was first sampled on.
+struct VersionPair {
+  Graph parent;
+  Graph child;
+};
+
+VersionPair OneInsertApart() {
+  EvolvingGraph evolving(TestGraph());
+  VersionPair pair{**evolving.Current(), Graph()};
+  EXPECT_TRUE(evolving.Apply({EdgeDelta::Insert(3, 17)}).ok());
+  pair.child = **evolving.Current();
+  return pair;
+}
+
+SamplerOptions SegmentedStageOptions() {
+  SamplerOptions options;
+  options.sampling_ratio = 0.1;
+  options.seed = 5;
+  options.walk_segment_steps = 128;
+  return options;
+}
+
+void ExpectSameArtifact(const SampleArtifact& a, const SampleArtifact& b) {
+  EXPECT_EQ(a.key.ToString(), b.key.ToString());
+  EXPECT_EQ(a.ContentKey(), b.ContentKey());
+  EXPECT_EQ(a.sample.vertices, b.sample.vertices);
+}
+
+TEST(SampleStageTest, RecordedAndIncrementalRunsMatchRun) {
+  const VersionPair versions = OneInsertApart();
+  const SampleStage stage(SegmentedStageOptions());
+
+  SampleWalkRecord record;
+  auto recorded = stage.RunRecorded(versions.parent, &record);
+  auto plain = stage.Run(versions.parent);
+  ASSERT_TRUE(recorded.ok());
+  ASSERT_TRUE(plain.ok());
+  ExpectSameArtifact(*recorded, *plain);
+
+  ASSERT_NE(versions.child.lineage(), nullptr);
+  SampleWalkRecord updated;
+  SampleStage::IncrementalStats stats;
+  auto incremental =
+      stage.RunIncremental(versions.child, versions.child.lineage()->dirty,
+                           record, &updated, &stats);
+  auto cold = stage.Run(versions.child);
+  ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+  ASSERT_TRUE(cold.ok());
+  ExpectSameArtifact(*incremental, *cold);
+  EXPECT_FALSE(stats.full_resample);
+  EXPECT_GT(stats.segments_total, 0u);
+}
+
+TEST(SampleStageTest, IncrementalRejectsARecordMadeWithOtherOptions) {
+  const VersionPair versions = OneInsertApart();
+  SamplerOptions other = SegmentedStageOptions();
+  other.seed = 6;
+  SampleWalkRecord foreign;
+  ASSERT_TRUE(SampleStage(other).RunRecorded(versions.parent, &foreign).ok());
+
+  const SampleStage stage(SegmentedStageOptions());
+  SampleWalkRecord updated;
+  SampleStage::IncrementalStats stats;
+  EXPECT_TRUE(stage
+                  .RunIncremental(versions.child,
+                                  versions.child.lineage()->dirty, foreign,
+                                  &updated, &stats)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(SampleKeyTest, DistinguishesGraphsAndOptions) {

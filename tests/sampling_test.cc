@@ -250,6 +250,25 @@ TEST(SegmentedSamplerTest, RejectsNonJumpSamplers) {
   }
 }
 
+TEST(SegmentedSamplerTest, RejectsSegmentsLongerThanTheStepBudget) {
+  // 100-vertex chain at ratio 0.1: a target of 10 vertices, so the walk's
+  // step budget is 200 * 10 + 1000 = 3000 steps. Segment 0 always walks
+  // in full, so a longer segment would overrun the budget.
+  const Graph g = GenerateChain(100).MoveValue();
+  for (const SamplerKind kind :
+       {SamplerKind::kRandomJump, SamplerKind::kBiasedRandomJump}) {
+    EXPECT_TRUE(SampleVertices(g, SegmentedOptions(kind, 0.1, 3001))
+                    .status()
+                    .IsInvalidArgument());
+    SampleWalkRecord record;
+    auto at_budget =
+        SampleGraphRecorded(g, SegmentedOptions(kind, 0.1, 3000), &record);
+    ASSERT_TRUE(at_budget.ok()) << at_budget.status().ToString();
+    EXPECT_EQ(at_budget->vertices.size(), 10u);
+    EXPECT_EQ(record.visits.size(), 3001u);
+  }
+}
+
 TEST(SegmentedSamplerTest, RecordedSampleMatchesPlainSample) {
   const Graph g = ScaleFree(6000);
   for (const SamplerKind kind :
@@ -429,6 +448,48 @@ TEST(IncrementalSampleTest, UnsegmentedRecordFallsBackToFullResample) {
   auto cold = SampleGraph(mutated, options);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(incremental->sample.vertices, cold->vertices);
+}
+
+TEST(IncrementalSampleTest, MoreThanAQuarterDirtyResamplesInFull) {
+  // Past |V|/4 dirty vertices the splice check stops paying: the sampler
+  // walks from scratch and says so, with the cold sample and record.
+  const Graph base = EvolvingGraph::Canonicalize(ScaleFree(2000));
+  const VertexId n = static_cast<VertexId>(base.num_vertices());
+  const SamplerOptions options =
+      SegmentedOptions(SamplerKind::kRandomJump, 0.1, 128);
+  SampleWalkRecord record;
+  ASSERT_TRUE(SampleGraphRecorded(base, options, &record).ok());
+
+  EvolvingGraph evolving(base);
+  EdgeDeltaBatch batch;
+  for (VertexId v = 0; v <= n / 4; ++v) {
+    batch.push_back(EdgeDelta::Insert(v, (v + n / 2) % n));
+  }
+  ASSERT_TRUE(evolving.Apply(batch).ok());
+  auto current = evolving.Current();
+  ASSERT_TRUE(current.ok());
+  const Graph& mutated = **current;
+  const std::vector<VertexId> dirty = DirtyOutVertices(base, mutated);
+  ASSERT_GT(dirty.size() * 4, base.num_vertices());
+
+  SampleWalkRecord updated;
+  auto incremental = ResampleIncremental(mutated, dirty, record, &updated);
+  ASSERT_TRUE(incremental.ok());
+  EXPECT_TRUE(incremental->full_resample);
+  EXPECT_EQ(incremental->segments_reused, 0u);
+
+  SampleWalkRecord cold_record;
+  auto cold = SampleGraphRecorded(mutated, options, &cold_record);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(incremental->sample.vertices, cold->vertices);
+  EXPECT_EQ(incremental->sample.subgraph.Fingerprint(),
+            cold->subgraph.Fingerprint());
+  EXPECT_EQ(incremental->segments_total, cold_record.segment_offsets.size() - 1);
+  EXPECT_TRUE(updated.supports_incremental);
+  EXPECT_EQ(updated.graph_fingerprint, cold_record.graph_fingerprint);
+  EXPECT_EQ(updated.segment_offsets, cold_record.segment_offsets);
+  EXPECT_EQ(updated.visits, cold_record.visits);
+  EXPECT_EQ(updated.touched, cold_record.touched);
 }
 
 TEST(IncrementalSampleTest, RejectsOutOfRangeDirtyVertex) {

@@ -105,9 +105,9 @@ TEST(ScenarioTest, EngineKeysAreCanonicalAndDistinct) {
 }
 
 TEST(ScenarioTest, ExecutionModeKnobsMoveTheEngineKey) {
-  // superstep path, dense threshold and edge representation never change
-  // simulated output, but they change what executed — profiles must not
-  // wrong-hit across them (the SamplerOptionsKey discipline).
+  // superstep path and dense threshold never change simulated output,
+  // but they change what executed — profiles must not wrong-hit across
+  // them (the SamplerOptionsKey discipline).
   const bsp::EngineOptions base = PaperClusterOptions();
   bsp::EngineOptions changed = base;
   changed.superstep_path = bsp::SuperstepPath::kSparse;
@@ -116,9 +116,6 @@ TEST(ScenarioTest, ExecutionModeKnobsMoveTheEngineKey) {
   EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
   changed = base;
   changed.dense_path_threshold = 0.31;
-  EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
-  changed = base;
-  changed.compressed_graph = true;
   EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
 }
 
