@@ -104,30 +104,8 @@ std::vector<PredictionRequest> MakeRequests(const Graph& g1, const Graph& g2) {
   return requests;
 }
 
-// Everything deterministic in a result, as one comparable string
-// (excludes sample_wall_seconds and accounting: host timing).
-std::string Canonical(const Result<PredictionReport>& result) {
-  if (!result.ok()) return "ERROR: " + result.status().ToString();
-  const PredictionReport& r = *result;
-  char buf[96];
-  std::string out = r.algorithm + "|" + r.dataset + "|";
-  out += DegradationRungName(r.degradation.rung);
-  out += "|" + r.degradation.cause + "|";
-  out += std::to_string(r.predicted_iterations) + "|";
-  for (const double s : r.per_iteration_seconds) {
-    std::snprintf(buf, sizeof(buf), "%.17g,", s);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "|%.17g|%.17g|%.17g",
-                r.predicted_superstep_seconds, r.distribution.p50_seconds,
-                r.distribution.p95_seconds);
-  out += buf;
-  out += "|" + r.runtime_model_description + "|" + r.transform_description;
-  return out;
-}
-
 struct ScheduleOutcome {
-  std::vector<std::string> reports;  // canonical, in request order per round
+  std::vector<std::string> reports;  // DeterministicContent, request order
   int total = 0;
   int answered = 0;
   int degraded = 0;
@@ -176,7 +154,7 @@ ScheduleOutcome RunSchedule(const std::vector<PredictionRequest>& requests,
       } else {
         ++outcome.errors;
       }
-      outcome.reports.push_back(Canonical(result));
+      outcome.reports.push_back(DeterministicContent(result));
     }
   }
   fail::DisableAll();
@@ -260,7 +238,7 @@ int main() {
     const auto direct = predictor.PredictRuntime(
         requests[i].algorithm, *requests[i].graph, requests[i].dataset,
         requests[i].overrides);
-    if (Canonical(served[i]) != Canonical(direct)) {
+    if (DeterministicContent(served[i]) != DeterministicContent(direct)) {
       disabled_ok = false;
       std::printf("  disabled-equivalence mismatch on request %zu (%s/%s)\n",
                   i, requests[i].algorithm.c_str(),

@@ -115,27 +115,6 @@ std::vector<PredictionRequest> MakeRequests(const Graph& graph) {
   return requests;
 }
 
-// Everything deterministic in a result, as one comparable string
-// (excludes sample_wall_seconds, accounting, and the stage-reuse
-// counters: host-execution properties, not predictions).
-std::string Canonical(const Result<PredictionReport>& result) {
-  if (!result.ok()) return "ERROR: " + result.status().ToString();
-  const PredictionReport& r = *result;
-  char buf[96];
-  std::string out = r.algorithm + "|" + r.dataset + "|";
-  out += std::to_string(r.predicted_iterations) + "|";
-  for (const double s : r.per_iteration_seconds) {
-    std::snprintf(buf, sizeof(buf), "%.17g,", s);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "|%.17g|%.17g|%.17g",
-                r.predicted_superstep_seconds, r.distribution.p50_seconds,
-                r.distribution.p95_seconds);
-  out += buf;
-  out += "|" + r.runtime_model_description + "|" + r.transform_description;
-  return out;
-}
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -242,7 +221,7 @@ ThreadResult RunForThreads(int num_threads, const Graph& base,
       const auto direct = predictor.PredictRuntime(
           requests[i].algorithm, graph, requests[i].dataset,
           requests[i].overrides);
-      if (Canonical(served[i]) != Canonical(direct)) {
+      if (DeterministicContent(served[i]) != DeterministicContent(direct)) {
         result.identical = false;
         std::printf("  identity mismatch (threads=%d, %s)\n", num_threads,
                     requests[i].algorithm.c_str());

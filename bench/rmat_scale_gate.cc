@@ -19,7 +19,8 @@
 //   3. Bit-identity — sparse, dense and adaptive paths produce identical
 //      results/counters/simulated time for PageRank, connected
 //      components and semi-clustering across host thread counts
-//      {0, 1, 2, 8} on a small RMAT graph (fingerprint matrix).
+//      {0, 1, 2, 8} on a small RMAT graph (fingerprint matrix, folded
+//      with the determinism goldens' tests/run_fingerprint.h).
 //   4. Dense payoff — on a fully-active, low-degree workload (the regime
 //      the dense path exists for) the barrier work the dense path skips
 //      is gated as exact counts (SuperstepStats::barrier_work): every
@@ -50,10 +51,14 @@
 #include "bsp/engine.h"
 #include "datasets/datasets.h"
 #include "graph/generators.h"
+#include "tests/run_fingerprint.h"
 
 namespace {
 
 using namespace predict;
+using predict::testing::FingerprintDoubles;
+using predict::testing::FingerprintIds;
+using predict::testing::FingerprintRunStats;
 
 // Declared budget for section 2: the compressed run must fit under it,
 // the plain run must not. Calibrated against the simulated memory model
@@ -101,56 +106,6 @@ void Check(bool ok, const char* what) {
     std::printf("FAIL: %s\n", what);
     ++g_failures;
   }
-}
-
-// ----------------------------------------------------- run fingerprints
-
-uint64_t FnvMix(uint64_t h, uint64_t x) {
-  h ^= x;
-  return h * 1099511628211ull;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-// Everything the simulation derives except host wall clock and the
-// observational dense_path flag (which differs across paths by design).
-uint64_t FingerprintStats(const bsp::RunStats& stats) {
-  uint64_t h = 1469598103934665603ull;
-  h = FnvMix(h, static_cast<uint64_t>(stats.num_supersteps()));
-  h = FnvMix(h, static_cast<uint64_t>(stats.halt_reason));
-  h = FnvMix(h, stats.peak_memory_bytes);
-  h = FnvMix(h, DoubleBits(stats.superstep_phase_seconds));
-  h = FnvMix(h, DoubleBits(stats.total_seconds));
-  for (const auto& step : stats.supersteps) {
-    h = FnvMix(h, DoubleBits(step.simulated_seconds));
-    h = FnvMix(h, step.memory_bytes);
-    for (const auto& [name, agg] : step.aggregates) {
-      h = FnvMix(h, DoubleBits(agg));
-    }
-    for (const auto& w : step.per_worker) {
-      h = FnvMix(h, w.active_vertices);
-      h = FnvMix(h, w.local_messages);
-      h = FnvMix(h, w.remote_messages);
-      h = FnvMix(h, w.local_message_bytes);
-      h = FnvMix(h, w.remote_message_bytes);
-    }
-  }
-  return h;
-}
-
-uint64_t FingerprintDoubles(const std::vector<double>& values, uint64_t h) {
-  for (const double v : values) h = FnvMix(h, DoubleBits(v));
-  return h;
-}
-
-uint64_t FingerprintIds(const std::vector<VertexId>& values, uint64_t h) {
-  for (const VertexId v : values) h = FnvMix(h, v);
-  return h;
 }
 
 // --------------------------------------------------------- timed runner
@@ -289,10 +244,10 @@ int main() {
         continue;
       }
       const uint64_t pr_now =
-          FingerprintDoubles(pr->ranks, FingerprintStats(pr->stats));
+          FingerprintDoubles(pr->ranks, FingerprintRunStats(pr->stats));
       const uint64_t cc_now =
-          FingerprintIds(cc->labels, FingerprintStats(cc->stats));
-      const uint64_t sc_now = FingerprintStats(sc->stats);
+          FingerprintIds(cc->labels, FingerprintRunStats(cc->stats));
+      const uint64_t sc_now = FingerprintRunStats(sc->stats);
       if (!have_baseline) {
         pr_fp = pr_now;
         cc_fp = cc_now;

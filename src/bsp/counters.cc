@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "bsp/partition.h"
-
 namespace predict::bsp {
 
 WorkerCounters& WorkerCounters::operator+=(const WorkerCounters& other) {
@@ -40,12 +38,6 @@ const char* HaltReasonName(HaltReason reason) {
       return "max_supersteps";
   }
   return "unknown";
-}
-
-std::vector<uint64_t> PerWorkerOutboundEdges(const Graph& graph,
-                                             uint32_t num_workers) {
-  return PartitionMap::HashModulo(num_workers, graph.num_vertices())
-      .OutboundEdges(graph);
 }
 
 WorkerId ArgMaxWorker(const std::vector<uint64_t>& values) {

@@ -139,13 +139,6 @@ struct RunStats {
   int num_supersteps() const { return static_cast<int>(supersteps.size()); }
 };
 
-/// Outbound-edge totals per worker for the default vertex-hash
-/// partitioning; the basis of the paper's critical-path identification.
-/// For an arbitrary assignment use PartitionMap::OutboundEdges
-/// (bsp/partition.h), which the engine records in RunStats.
-std::vector<uint64_t> PerWorkerOutboundEdges(const Graph& graph,
-                                             uint32_t num_workers);
-
 /// Index of the max element (first one on ties).
 WorkerId ArgMaxWorker(const std::vector<uint64_t>& values);
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
-
-#include "common/rng.h"
 
 namespace predict {
 
@@ -28,24 +25,6 @@ double Deadline::RemainingSeconds() const {
   return std::max(0.0, std::chrono::duration<double>(left).count());
 }
 
-double RetryPolicy::BackoffSeconds(int failed_attempts) const {
-  if (failed_attempts < 1 || initial_backoff_seconds <= 0.0) return 0.0;
-  double backoff = initial_backoff_seconds;
-  for (int i = 1; i < failed_attempts; ++i) {
-    backoff *= backoff_multiplier;
-    if (backoff >= max_backoff_seconds) break;
-  }
-  backoff = std::min(backoff, max_backoff_seconds);
-  if (jitter_fraction > 0.0) {
-    // Stateless draw in [-1, 1): same (seed, attempt) -> same jitter.
-    const double unit = Rng::HashToUnitDouble(
-        jitter_seed, static_cast<uint64_t>(failed_attempts),
-        0x7261657472790000ULL);  // "retry" salt
-    backoff *= 1.0 + jitter_fraction * (2.0 * unit - 1.0);
-  }
-  return std::max(0.0, backoff);
-}
-
 bool IsRetryableStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kIOError:
@@ -56,12 +35,5 @@ bool IsRetryableStatus(const Status& status) {
       return false;
   }
 }
-
-namespace retry_internal {
-void SleepForSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-}  // namespace retry_internal
 
 }  // namespace predict

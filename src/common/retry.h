@@ -2,21 +2,17 @@
 //
 // RetryPolicy re-attempts transient failures (IOError, Internal,
 // ResourceExhausted — never InvalidArgument/NotFound, which retrying
-// cannot fix) with deterministic exponential backoff: the backoff of
-// attempt k is a pure function of the policy, including its seeded
-// jitter, so retry schedules replay bit-for-bit.
+// cannot fix) at once, up to a fixed number of attempts.
 //
 // Deadline is a monotonic-clock budget shared by every stage of one
-// request: each stage boundary checks it before starting, and the retry
-// loop refuses to back off past it. An expired deadline surfaces as
-// StatusCode::kDeadlineExceeded, which is NOT retryable — waiting longer
-// cannot un-expire a deadline.
+// request: each stage boundary and each attempt checks it before
+// starting. An expired deadline surfaces as StatusCode::kDeadlineExceeded,
+// which is NOT retryable — waiting longer cannot un-expire a deadline.
 
 #ifndef PREDICT_COMMON_RETRY_H_
 #define PREDICT_COMMON_RETRY_H_
 
 #include <chrono>
-#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -43,23 +39,11 @@ class Deadline {
   std::chrono::steady_clock::time_point at_{};
 };
 
-/// \brief Bounded re-attempts with deterministic exponential backoff.
+/// \brief Bounded immediate re-attempts.
 struct RetryPolicy {
   /// Total attempts including the first; 1 = no retry (the default, so a
   /// default-constructed pipeline behaves exactly as before).
   int max_attempts = 1;
-  /// Backoff slept after the first failed attempt; 0 = no sleep.
-  double initial_backoff_seconds = 0.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 0.5;
-  /// Symmetric jitter as a fraction of the backoff, drawn from a
-  /// stateless seeded hash — deterministic per (seed, attempt).
-  double jitter_fraction = 0.0;
-  uint64_t jitter_seed = 0;
-
-  /// Backoff slept after `failed_attempts` (>= 1) failures. Exponential,
-  /// clamped to max_backoff_seconds, jittered deterministically.
-  double BackoffSeconds(int failed_attempts) const;
 };
 
 /// True for error categories a retry can plausibly fix (IOError,
@@ -67,22 +51,16 @@ struct RetryPolicy {
 /// DeadlineExceeded and OK.
 bool IsRetryableStatus(const Status& status);
 
-/// Per-boundary attempt/latency accounting, surfaced per request in
+/// Per-boundary attempt accounting, surfaced per request in
 /// PredictionReport::accounting.
 struct AttemptAccounting {
   int attempts = 0;
-  double backoff_seconds = 0.0;
 };
 
-namespace retry_internal {
-void SleepForSeconds(double seconds);
-}
-
 /// Runs `fn` (returning Result<T> or Status-convertible Result) under
-/// `policy` and `deadline`. Retries only retryable failures, sleeping
-/// the policy's deterministic backoff between attempts; gives up when
-/// attempts are exhausted, the failure is not retryable, or the next
-/// backoff would overrun the deadline. `what` labels deadline errors.
+/// `policy` and `deadline`. Retries only retryable failures, each at
+/// once; gives up when attempts are exhausted or the failure is not
+/// retryable. `what` labels deadline errors.
 template <typename Fn>
 auto RunWithRetry(const RetryPolicy& policy, const Deadline& deadline,
                   const char* what, Fn&& fn,
@@ -99,17 +77,6 @@ auto RunWithRetry(const RetryPolicy& policy, const Deadline& deadline,
     if (result.ok() || !IsRetryableStatus(result.status()) ||
         attempt >= max_attempts) {
       return result;
-    }
-    const double backoff = policy.BackoffSeconds(attempt);
-    if (!deadline.infinite() && backoff >= deadline.RemainingSeconds()) {
-      return StatusAnnotate(result.status(),
-                            std::string(what) + ": giving up after attempt " +
-                                std::to_string(attempt) +
-                                " (backoff would overrun the deadline)");
-    }
-    if (backoff > 0.0) {
-      retry_internal::SleepForSeconds(backoff);
-      if (accounting != nullptr) accounting->backoff_seconds += backoff;
     }
   }
 }

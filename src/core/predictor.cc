@@ -1,7 +1,11 @@
 #include "core/predictor.h"
 
 #include <cmath>
+#include <concepts>
+#include <cstdio>
+#include <ranges>
 #include <set>
+#include <string_view>
 
 #include "core/models/scaleout_models.h"
 #include "service/prediction_service.h"
@@ -18,6 +22,104 @@ const char* DegradationRungName(DegradationRung rung) {
       return "history_only";
   }
   return "unknown";
+}
+
+namespace {
+
+// Field values of the contract form. %.17g round-trips every double.
+std::string Text(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+std::string Text(std::integral auto value) { return std::to_string(value); }
+std::string Text(const std::string& value) { return value; }
+// A list: its values, space-separated.
+template <std::ranges::range List>
+  requires(!std::same_as<List, std::string>)
+std::string Text(const List& values) {
+  std::string out;
+  for (const auto& value : values) {
+    if (!out.empty()) out += ' ';
+    out += Text(value);
+  }
+  return out;
+}
+
+// One "name=value" line of the form. Backslashes and newlines in the
+// value are escaped, so no value can end its line early.
+void AppendLine(std::string* out, std::string_view name,
+                const std::string& value) {
+  *out += name;
+  *out += '=';
+  for (const char c : value) {
+    if (c == '\\' || c == '\n') *out += '\\';
+    *out += c == '\n' ? 'n' : c;
+  }
+  *out += '\n';
+}
+
+}  // namespace
+
+std::string DeterministicContent(const PredictionReport& r) {
+  std::string out;
+  const auto add = [&out](std::string_view name, const auto& value) {
+    AppendLine(&out, name, Text(value));
+  };
+  const auto add_profile = [&add](const std::string& name,
+                                  const RunProfile& profile) {
+    add(name + ".algorithm", profile.algorithm);
+    add(name + ".dataset", profile.dataset);
+    add(name + ".num_vertices", profile.num_vertices);
+    add(name + ".num_edges", profile.num_edges);
+    add(name + ".num_workers", profile.num_workers);
+    // One line per iteration: index, runtime, then the Table-1 features.
+    for (const IterationProfile& it : profile.iterations) {
+      add(name + ".iteration", Text(it.iteration) + " " +
+                                   Text(it.runtime_seconds) + " " +
+                                   Text(it.critical_features));
+    }
+  };
+  add("algorithm", r.algorithm);
+  add("dataset", r.dataset);
+  add("scenario", r.scenario);
+  add("predicted_iterations", r.predicted_iterations);
+  add("per_iteration_seconds", r.per_iteration_seconds);
+  add("predicted_superstep_seconds", r.predicted_superstep_seconds);
+  for (const auto& [key, value] : r.sample_config) {
+    add("sample_config." + key, value);
+  }
+  add("transform_description", r.transform_description);
+  add("factors.vertex_factor", r.factors.vertex_factor);
+  add("factors.edge_factor", r.factors.edge_factor);
+  // The fit itself, not CostModel::ToString(), which rounds.
+  const LinearModel& fit = r.cost_model.model();
+  add("cost_model.feature_indices", fit.feature_indices);
+  add("cost_model.coefficients", fit.coefficients);
+  add("cost_model.intercept", fit.intercept);
+  add("cost_model.r_squared", fit.r_squared);
+  add("cost_model.adjusted_r_squared", fit.adjusted_r_squared);
+  add("model_selection", r.model_selection.ToString());  // exact: no doubles
+  add("runtime_model_description", r.runtime_model_description);
+  add("distribution.point_seconds", r.distribution.point_seconds);
+  add("distribution.p50_seconds", r.distribution.p50_seconds);
+  add("distribution.p95_seconds", r.distribution.p95_seconds);
+  add("distribution.samples", r.distribution.samples);
+  add("distribution.seed", r.distribution.seed);
+  add_profile("sample_profile", r.sample_profile);
+  add_profile("extrapolated_profile", r.extrapolated_profile);
+  add("sample_total_seconds", r.sample_total_seconds);
+  add("realized_sampling_ratio", r.realized_sampling_ratio);
+  add("degradation.rung", DegradationRungName(r.degradation.rung));
+  add("degradation.cause", r.degradation.cause);
+  return out;
+}
+
+std::string DeterministicContent(const Result<PredictionReport>& result) {
+  if (result.ok()) return DeterministicContent(*result);
+  std::string out;
+  AppendLine(&out, "status", result.status().ToString());
+  return out;
 }
 
 double PredictionReport::PredictedCriticalRemoteBytes() const {

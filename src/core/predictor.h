@@ -72,10 +72,9 @@ struct DegradationInfo {
   bool degraded() const { return rung != DegradationRung::kFull; }
 };
 
-/// Per-request attempt/latency accounting, filled when a StageContext
-/// carried a retry policy. Host-execution-dependent (a cache hit skips a
-/// stage entirely), so excluded from determinism comparisons — like
-/// sample_wall_seconds.
+/// Per-request attempt accounting, filled when a StageContext carried a
+/// retry policy. Part of the execution record (see DeterministicContent):
+/// a cache hit skips a stage entirely.
 struct RequestAccounting {
   AttemptAccounting sample;
   AttemptAccounting profile;
@@ -83,10 +82,6 @@ struct RequestAccounting {
 
   int total_attempts() const {
     return sample.attempts + profile.attempts + fit.attempts;
-  }
-  double total_backoff_seconds() const {
-    return sample.backoff_seconds + profile.backoff_seconds +
-           fit.backoff_seconds;
   }
 };
 
@@ -114,7 +109,9 @@ struct PredictorOptions {
   RobustnessOptions robustness;
 };
 
-/// Output of one prediction.
+/// Output of one prediction. Every field is either part of the
+/// prediction or of the execution record; DeterministicContent says
+/// which, and a new field belongs in one or the other.
 struct PredictionReport {
   std::string algorithm;
   std::string dataset;
@@ -165,7 +162,7 @@ struct PredictionReport {
   RunProfile extrapolated_profile;
 
   /// Overhead accounting (§5.4): the sample run's own simulated runtime
-  /// (all phases) and host wall time.
+  /// (all phases) and host wall time (execution record).
   double sample_total_seconds = 0.0;
   double sample_wall_seconds = 0.0;
   double realized_sampling_ratio = 0.0;
@@ -174,21 +171,36 @@ struct PredictionReport {
   /// request fell back) and the error that caused the fall.
   DegradationInfo degradation;
 
-  /// Attempt/backoff accounting for the request. Excluded from
-  /// determinism byte-compares (see RequestAccounting).
+  /// Attempt accounting for the request. Execution record.
   RequestAccounting accounting;
 
   /// Of the five pipeline stages, how many this request served from
-  /// cached artifacts vs actually executed. Like `accounting`, a
-  /// property of the execution rather than the prediction: excluded
-  /// from determinism byte-compares.
+  /// cached artifacts; the rest ran. Execution record.
   int stages_reused = 0;
-  int stages_recomputed = 5;
 
   /// Predicted total remote message bytes on the critical-path worker
   /// (the Figure-6 "remote message bytes" key feature).
   double PredictedCriticalRemoteBytes() const;
 };
+
+/// The determinism contract, defined once: every field of `report` the
+/// prediction determines, as one string with one "name=value" line per
+/// field and every double round-trip exact (%.17g). A report is a pure
+/// function of the graph, the options and the history, so two answers
+/// to the same request render identically however they were served —
+/// cold or from warm caches, at any concurrency, after any retries.
+///
+/// Left out is the execution record, which says how this host ran the
+/// request rather than what it predicted: sample_wall_seconds (host
+/// timing of whichever run produced the profile), `accounting` (the
+/// attempts this interleaving ran) and stages_reused (which stages a
+/// cache served). Every bit-identity check of reports compares this
+/// form.
+std::string DeterministicContent(const PredictionReport& report);
+
+/// The same for a result: a failure renders as its status, so replays of
+/// a fault schedule compare their errors too.
+std::string DeterministicContent(const Result<PredictionReport>& result);
 
 /// The five pipeline stages wired from one PredictorOptions. Immutable
 /// after construction and safe to share across threads; every
@@ -214,8 +226,7 @@ struct PredictionPipeline {
 /// Runs the back half of the pipeline (extrapolate -> fit -> predict)
 /// on already-computed front-half artifacts and assembles the full
 /// PredictionReport. Deterministic in its inputs: cached and freshly
-/// computed artifacts yield bit-identical reports (modulo
-/// sample_wall_seconds, which reports host timing).
+/// computed artifacts yield reports with equal DeterministicContent.
 Result<PredictionReport> AssemblePredictionReport(
     const PredictionPipeline& stages, const Graph& graph,
     const std::string& algorithm, const std::string& dataset_name,
@@ -287,10 +298,9 @@ class Predictor {
   ///
   /// results[i] corresponds to scenarios[i]. `pool` fans the scenarios
   /// out (null = sequential); every stage is deterministic, so the
-  /// fanned-out batch is bit-identical to the sequential loop (modulo
-  /// the execution fields sample_wall_seconds, `accounting` and
-  /// stages_reused/recomputed). Scenario runs simulate inline on their
-  /// fan-out thread (num_threads = 0).
+  /// fanned-out batch has the sequential loop's DeterministicContent.
+  /// Scenario runs simulate inline on their fan-out thread
+  /// (num_threads = 0).
   std::vector<Result<PredictionReport>> PredictAcrossScenarios(
       const std::string& algorithm, const Graph& graph,
       const std::string& dataset_name, const AlgorithmConfig& overrides,

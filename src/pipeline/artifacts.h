@@ -88,9 +88,9 @@ struct ProfileArtifact {
   RunProfile sample_profile;
   /// Simulated runtime of the complete sample run (all phases).
   double sample_total_seconds = 0.0;
-  /// Host wall time of the sample run. Excluded from the determinism
-  /// contract: it is the one host-dependent field, and a cached
-  /// ProfileArtifact reports the wall time of the run that produced it.
+  /// Host wall time of the sample run; a cached ProfileArtifact reports
+  /// the wall time of the run that produced it. Part of a report's
+  /// execution record (see DeterministicContent in core/predictor.h).
   double sample_wall_seconds = 0.0;
   /// Provenance: the canonical key (bsp::EngineOptionsKey) of the
   /// engine configuration the profile was measured under. Profiles are

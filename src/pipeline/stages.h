@@ -38,7 +38,7 @@ namespace predict::pipeline {
 struct StageContext {
   RetryPolicy retry;
   Deadline deadline;
-  /// Not owned; may be null. Counts attempts/backoff at this boundary.
+  /// Not owned; may be null. Counts attempts at this boundary.
   AttemptAccounting* accounting = nullptr;
 };
 

@@ -306,6 +306,19 @@ const char* SamplerKindName(SamplerKind kind) {
   return "unknown";
 }
 
+Result<SamplerKind> ParseSamplerKind(const std::string& name) {
+  std::string known;
+  for (const SamplerKind kind :
+       {SamplerKind::kRandomJump, SamplerKind::kBiasedRandomJump,
+        SamplerKind::kMetropolisHastingsRW, SamplerKind::kForestFire}) {
+    if (name == SamplerKindName(kind)) return kind;
+    known += known.empty() ? "" : "|";
+    known += SamplerKindName(kind);
+  }
+  return Status::InvalidArgument("unknown sampler '" + name + "'; known: " +
+                                 known);
+}
+
 std::string SamplerOptionsKey(const SamplerOptions& options) {
   // Cache keys must never truncate: two distinct options differing only
   // past a fixed buffer's end would silently collide. snprintf reports
@@ -349,15 +362,24 @@ struct DrawPlan {
   std::vector<VertexId> brj_seeds;
 };
 
-// Validates `options` against `graph` before anything walks.
+// Validates `options` against `graph` before anything walks. Every range
+// is checked for every kind, each as the condition that must hold: NaN
+// fails any comparison, so it fails these.
 Result<DrawPlan> PlanDraw(const Graph& graph, const SamplerOptions& options) {
   const uint64_t n = graph.num_vertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
-  if (options.sampling_ratio <= 0.0 || options.sampling_ratio > 1.0) {
+  if (!(options.sampling_ratio > 0.0 && options.sampling_ratio <= 1.0)) {
     return Status::InvalidArgument("sampling_ratio must be in (0, 1]");
   }
-  if (options.jump_probability < 0.0 || options.jump_probability > 1.0) {
+  if (!(options.jump_probability >= 0.0 && options.jump_probability <= 1.0)) {
     return Status::InvalidArgument("jump_probability must be in [0, 1]");
+  }
+  if (!(options.seed_fraction > 0.0 && options.seed_fraction <= 1.0)) {
+    return Status::InvalidArgument("seed_fraction must be in (0, 1]");
+  }
+  if (!(options.forward_burning_p >= 0.0 &&
+        options.forward_burning_p <= 1.0)) {
+    return Status::InvalidArgument("forward_burning_p must be in [0, 1]");
   }
   DrawPlan plan;
   plan.target = TargetCount(options, n);

@@ -30,20 +30,28 @@ enum class SamplerKind {
 
 const char* SamplerKindName(SamplerKind kind);
 
+/// Parses exactly the names SamplerKindName prints (RJ, BRJ, MHRW, FF);
+/// anything else is InvalidArgument.
+Result<SamplerKind> ParseSamplerKind(const std::string& name);
+
 /// Parameters shared by the random-walk samplers.
 struct SamplerOptions {
   SamplerKind kind = SamplerKind::kBiasedRandomJump;
 
+  // Every kind checks all four ranges below before walking; a value
+  // outside one, NaN included, is InvalidArgument.
+
   /// Fraction of vertices to sample, in (0, 1].
   double sampling_ratio = 0.1;
 
-  /// Walk restart probability (the paper's p = 0.15).
+  /// Walk restart probability (the paper's p = 0.15), in [0, 1].
   double jump_probability = 0.15;
 
-  /// BRJ: seed-set size as a fraction of |V| (the paper's k = 1%).
+  /// BRJ: seed-set size as a fraction of |V| (the paper's k = 1%), in
+  /// (0, 1].
   double seed_fraction = 0.01;
 
-  /// Forest fire: forward burning probability.
+  /// Forest fire: forward burning probability, in [0, 1].
   double forward_burning_p = 0.35;
 
   uint64_t seed = 1;

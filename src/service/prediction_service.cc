@@ -258,7 +258,6 @@ Result<PredictionReport> PredictionService::Predict(
   // Transform, extrapolate, and fit always execute per request; sample
   // and profile are the cacheable stages.
   report->stages_reused = (sample_reused ? 1 : 0) + (profile_reused ? 1 : 0);
-  report->stages_recomputed = 5 - report->stages_reused;
   if (request.scenario.has_value()) report->scenario = request.scenario->name;
   return report;
 }

@@ -36,11 +36,8 @@
 // graph gets.
 //
 // Determinism contract: every stage is deterministic, so a report served
-// from warm caches under any concurrency is bit-identical to a cold
-// sequential Predictor::PredictRuntime — except sample_wall_seconds
-// (host timing of whichever run produced the artifact), `accounting`
-// (whichever attempts this host's interleaving ran) and
-// stages_reused/stages_recomputed (which stages a cache served).
+// from warm caches under any concurrency has the DeterministicContent
+// (core/predictor.h) of a cold sequential Predictor::PredictRuntime.
 //
 // Failure semantics (the robustness contract):
 //   - A failed stage never populates a cache: the computing thread

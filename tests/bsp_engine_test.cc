@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bsp/engine.h"
+#include "bsp/partition.h"
 #include "graph/generators.h"
 
 namespace predict {
@@ -224,7 +225,8 @@ TEST(BspEngineTest, PerWorkerOutboundEdges) {
   b.AddEdge(2, 0);
   b.AddEdge(3, 0);
   const Graph g = b.Build().MoveValue();
-  const auto edges = bsp::PerWorkerOutboundEdges(g, 2);
+  const auto edges =
+      bsp::PartitionMap::HashModulo(2, g.num_vertices()).OutboundEdges(g);
   // Worker 0 owns {0, 2}: 2 + 1 = 3 outbound. Worker 1 owns {1, 3}: 2.
   EXPECT_EQ(edges[0], 3u);
   EXPECT_EQ(edges[1], 2u);

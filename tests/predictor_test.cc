@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "algorithms/runner.h"
 #include "core/predictor.h"
@@ -122,9 +125,7 @@ TEST(PredictorTest, DeterministicForFixedSeeds) {
   auto b = predictor.PredictRuntime("pagerank", g, "", config);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->predicted_iterations, b->predicted_iterations);
-  EXPECT_DOUBLE_EQ(a->predicted_superstep_seconds,
-                   b->predicted_superstep_seconds);
+  EXPECT_EQ(DeterministicContent(a), DeterministicContent(b));
 }
 
 // ------------------------------------------------------- transform ablation
@@ -233,6 +234,106 @@ TEST(PredictorTest, MultiConfigHistoryFitsTheCostModel) {
   EXPECT_EQ(report->runtime_model_description, report->cost_model.ToString());
   EXPECT_EQ(report->per_iteration_seconds,
             report->cost_model.PredictProfile(report->extrapolated_profile));
+}
+
+// ------------------------------------------------- the determinism contract
+
+// Every field the prediction determines is in DeterministicContent, each
+// to the last bit; the execution record is not.
+TEST(PredictionReportTest, DeterministicContentCoversEveryField) {
+  const Graph g = TestGraph(4000, 83);
+  auto predicted =
+      Predictor(TestOptions()).PredictRuntime("topk_ranking", g, "test");
+  ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+  const PredictionReport& report = *predicted;
+  // Every list below has an element to change.
+  ASSERT_FALSE(report.per_iteration_seconds.empty());
+  ASSERT_FALSE(report.sample_config.empty());
+  ASSERT_FALSE(report.cost_model.model().feature_indices.empty());
+  ASSERT_GE(report.distribution.samples.size(), 2u);
+  ASSERT_FALSE(report.sample_profile.iterations.empty());
+  ASSERT_FALSE(report.extrapolated_profile.iterations.empty());
+  const std::string form = DeterministicContent(report);
+
+  // Changes one field of a copy; the form must change with it.
+  const auto expect_changes =
+      [&](const char* what, const std::function<void(PredictionReport&)>& f) {
+        PredictionReport changed = report;
+        f(changed);
+        EXPECT_NE(DeterministicContent(changed), form) << what;
+      };
+#define EXPECT_CHANGES(...) \
+  expect_changes(#__VA_ARGS__, [&](PredictionReport& r) { __VA_ARGS__; })
+  // One ulp: the form must be round-trip exact, not merely close.
+  const auto ulp = [](double& x) { x = std::nextafter(x, HUGE_VAL); };
+  // CostModel exposes its fit read-only. Writing through the const_cast
+  // is defined: the report being changed is a non-const copy.
+  const auto fit = [](PredictionReport& r) -> LinearModel& {
+    return const_cast<LinearModel&>(r.cost_model.model());
+  };
+  EXPECT_CHANGES(r.algorithm += "x");
+  EXPECT_CHANGES(r.dataset += "x");
+  EXPECT_CHANGES(r.scenario += "x");
+  EXPECT_CHANGES(++r.predicted_iterations);
+  EXPECT_CHANGES(ulp(r.per_iteration_seconds.back()));
+  EXPECT_CHANGES(ulp(r.predicted_superstep_seconds));
+  EXPECT_CHANGES(ulp(r.sample_config.begin()->second));
+  EXPECT_CHANGES(r.transform_description += "x");
+  EXPECT_CHANGES(ulp(r.factors.vertex_factor));
+  EXPECT_CHANGES(ulp(r.factors.edge_factor));
+  EXPECT_CHANGES(++fit(r).feature_indices.back());
+  EXPECT_CHANGES(ulp(fit(r).coefficients.back()));
+  EXPECT_CHANGES(ulp(fit(r).intercept));
+  EXPECT_CHANGES(ulp(fit(r).r_squared));
+  EXPECT_CHANGES(ulp(fit(r).adjusted_r_squared));
+  EXPECT_CHANGES(r.model_selection.tier = models::ModelTier::kErnest);
+  EXPECT_CHANGES(++r.model_selection.unique_configurations);
+  EXPECT_CHANGES(++r.model_selection.sample_rows);
+  EXPECT_CHANGES(++r.model_selection.history_rows);
+  EXPECT_CHANGES(r.model_selection.reason += "x");
+  EXPECT_CHANGES(r.runtime_model_description += "x");
+  EXPECT_CHANGES(ulp(r.distribution.point_seconds));
+  EXPECT_CHANGES(ulp(r.distribution.p50_seconds));
+  EXPECT_CHANGES(ulp(r.distribution.p95_seconds));
+  EXPECT_CHANGES(ulp(r.distribution.samples[1]));  // one replicate
+  EXPECT_CHANGES(++r.distribution.seed);
+  EXPECT_CHANGES(ulp(r.sample_total_seconds));
+  EXPECT_CHANGES(ulp(r.realized_sampling_ratio));
+  EXPECT_CHANGES(r.degradation.rung = DegradationRung::kStaleProfile);
+  EXPECT_CHANGES(r.degradation.cause += "x");
+  for (RunProfile PredictionReport::*p :
+       {&PredictionReport::sample_profile,
+        &PredictionReport::extrapolated_profile}) {
+    SCOPED_TRACE(p == &PredictionReport::sample_profile
+                     ? "sample_profile"
+                     : "extrapolated_profile");
+    EXPECT_CHANGES((r.*p).algorithm += "x");
+    EXPECT_CHANGES((r.*p).dataset += "x");
+    EXPECT_CHANGES(++(r.*p).num_vertices);
+    EXPECT_CHANGES(++(r.*p).num_edges);
+    EXPECT_CHANGES(++(r.*p).num_workers);
+    EXPECT_CHANGES(++(r.*p).iterations.back().iteration);
+    EXPECT_CHANGES(ulp((r.*p).iterations.back().runtime_seconds));
+    for (int f = 0; f < kNumFeatures; ++f) {
+      EXPECT_CHANGES(ulp((r.*p).iterations.back().critical_features[f]));
+    }
+  }
+#undef EXPECT_CHANGES
+
+  // The execution record stays out.
+  PredictionReport executed = report;
+  executed.sample_wall_seconds += 1.0;
+  executed.accounting.sample.attempts += 2;
+  executed.accounting.profile.attempts += 1;
+  executed.accounting.fit.attempts += 1;
+  executed.stages_reused = 5;
+  EXPECT_EQ(DeterministicContent(executed), form);
+
+  // A result renders as its report, a failure as its status.
+  EXPECT_EQ(DeterministicContent(predicted), form);
+  const Result<PredictionReport> io_error = Status::IOError("x");
+  const Result<PredictionReport> internal = Status::Internal("x");
+  EXPECT_NE(DeterministicContent(io_error), DeterministicContent(internal));
 }
 
 // ------------------------------------------------------------------ errors

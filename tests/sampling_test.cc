@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -55,11 +56,55 @@ TEST(SamplerTest, RejectsBadJumpProbability) {
   EXPECT_TRUE(SampleVertices(g, options).status().IsInvalidArgument());
 }
 
+constexpr SamplerKind kAllKinds[] = {
+    SamplerKind::kRandomJump, SamplerKind::kBiasedRandomJump,
+    SamplerKind::kMetropolisHastingsRW, SamplerKind::kForestFire};
+
+// Every kind checks every range, and NaN or an infinity is out of all of
+// them.
+TEST(SamplerTest, RejectsNonFiniteAndOutOfRangeOptionsForEveryKind) {
+  const Graph g = ScaleFree(2000);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double SamplerOptions::*, double> bad[] = {
+      {&SamplerOptions::sampling_ratio, nan},
+      {&SamplerOptions::sampling_ratio, inf},
+      {&SamplerOptions::jump_probability, nan},
+      {&SamplerOptions::jump_probability, -0.5},
+      {&SamplerOptions::seed_fraction, nan},
+      {&SamplerOptions::seed_fraction, -1.0},
+      {&SamplerOptions::seed_fraction, 0.0},
+      {&SamplerOptions::seed_fraction, 5.0},
+      {&SamplerOptions::forward_burning_p, nan},
+      {&SamplerOptions::forward_burning_p, 1.5},
+      {&SamplerOptions::forward_burning_p, -inf},
+  };
+  for (const SamplerKind kind : kAllKinds) {
+    for (const auto& [field, value] : bad) {
+      SamplerOptions options = Options(kind, 0.1);
+      options.*field = value;
+      EXPECT_TRUE(SampleGraph(g, options).status().IsInvalidArgument())
+          << SamplerOptionsKey(options);
+    }
+  }
+}
+
 TEST(SamplerTest, KindNames) {
   EXPECT_STREQ(SamplerKindName(SamplerKind::kRandomJump), "RJ");
   EXPECT_STREQ(SamplerKindName(SamplerKind::kBiasedRandomJump), "BRJ");
   EXPECT_STREQ(SamplerKindName(SamplerKind::kMetropolisHastingsRW), "MHRW");
   EXPECT_STREQ(SamplerKindName(SamplerKind::kForestFire), "FF");
+}
+
+TEST(SamplerTest, ParsesExactlyTheKindNames) {
+  for (const SamplerKind kind : kAllKinds) {
+    auto parsed = ParseSamplerKind(SamplerKindName(kind));
+    ASSERT_TRUE(parsed.ok()) << SamplerKindName(kind);
+    EXPECT_EQ(*parsed, kind);
+  }
+  for (const char* name : {"rj", "", "XYZ"}) {
+    EXPECT_TRUE(ParseSamplerKind(name).status().IsInvalidArgument()) << name;
+  }
 }
 
 // ---------------------------------------------- ratio honored, all kinds

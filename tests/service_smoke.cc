@@ -6,8 +6,9 @@
 //
 // Exercises: cold and warm PredictBatch fan-out, concurrent external
 // callers hammering Predict() against an in-flight batch, cache-stats
-// consistency, and bit-identical warm-vs-cold spot checks. Exits 0 on
-// success, 1 with a message on any failure.
+// consistency, and warm reports bit-identical to cold ones
+// (DeterministicContent, errors included). Exits 0 on success, 1 with a
+// message on any failure.
 
 #include <atomic>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/predictor.h"
 #include "graph/generators.h"
 #include "service/prediction_service.h"
 
@@ -86,15 +88,8 @@ int main() {
   hammer2.join();
 
   for (size_t i = 0; i < warm.size(); ++i) {
-    Check(warm[i].ok(), "warm request " + std::to_string(i));
-    if (!warm[i].ok() || !cold[i].ok()) continue;
-    Check(warm[i]->predicted_iterations == cold[i]->predicted_iterations,
-          "warm/cold iterations differ at " + std::to_string(i));
-    Check(warm[i]->predicted_superstep_seconds ==
-              cold[i]->predicted_superstep_seconds,
-          "warm/cold runtime differs at " + std::to_string(i));
-    Check(warm[i]->per_iteration_seconds == cold[i]->per_iteration_seconds,
-          "warm/cold per-iteration runtimes differ at " + std::to_string(i));
+    Check(DeterministicContent(warm[i]) == DeterministicContent(cold[i]),
+          "warm/cold reports differ at " + std::to_string(i));
   }
 
   const ServiceCacheStats stats = service.cache_stats();

@@ -183,19 +183,13 @@ int FlagError(const Status& status) {
   return 2;
 }
 
-SamplerKind ParseSamplerKind(const std::string& name) {
-  if (name == "RJ") return SamplerKind::kRandomJump;
-  if (name == "MHRW") return SamplerKind::kMetropolisHastingsRW;
-  if (name == "FF") return SamplerKind::kForestFire;
-  return SamplerKind::kBiasedRandomJump;
-}
-
 /// The sampler flag set (--method/--ratio/--seed/--segment-steps) shared
 /// by sample/predict/batch/whatif. --segment-steps N turns on segmented
 /// walks (RJ/BRJ), the prerequisite for incremental re-sampling across
 /// graph versions.
 Status ParseSamplerFlags(const Flags& flags, SamplerOptions* options) {
-  options->kind = ParseSamplerKind(GetFlag(flags, "method", "BRJ"));
+  PREDICT_ASSIGN_OR_RETURN(options->kind,
+                           ParseSamplerKind(GetFlag(flags, "method", "BRJ")));
   PREDICT_ASSIGN_OR_RETURN(options->sampling_ratio,
                            ParseDoubleFlag(flags, "ratio", 0.1));
   PREDICT_ASSIGN_OR_RETURN(options->seed, ParseUint64Flag(flags, "seed", 42));
@@ -206,10 +200,10 @@ Status ParseSamplerFlags(const Flags& flags, SamplerOptions* options) {
 
 /// The robustness flag set shared by predict/batch: --failpoints SPEC
 /// arms fault-injection sites ("name=spec;name=spec"; see
-/// common/failpoint.h), --retries N retries each failed stage up to N
-/// more times, --deadline S bounds the whole request, --degraded enables
-/// the degradation ladder (stale profile / history-only) instead of
-/// failing the request.
+/// common/failpoint.h), --retries N re-attempts each failed stage at
+/// once, up to N more times, --deadline S bounds the whole request,
+/// --degraded enables the degradation ladder (stale profile /
+/// history-only) instead of failing the request.
 Status ParseRobustnessFlags(const Flags& flags, PredictorOptions* options) {
   const std::string failpoints = GetFlag(flags, "failpoints");
   if (!failpoints.empty()) {
@@ -491,9 +485,8 @@ int CmdPredict(const Flags& flags) {
   }
   if (report->accounting.total_attempts() > 0 &&
       options.robustness.retry.max_attempts > 1) {
-    std::printf("  attempts:             %d (%.3fs backoff)\n",
-                report->accounting.total_attempts(),
-                report->accounting.total_backoff_seconds());
+    std::printf("  attempts:             %d\n",
+                report->accounting.total_attempts());
   }
   std::printf("  transform:            %s\n",
               report->transform_description.c_str());
