@@ -6,8 +6,8 @@
 // probability 0.3:
 //
 //   1. Availability: across every chaos round, >= 99% of requests must
-//      still be answered — degraded answers (stale profile or
-//      history-only) count, errors do not.
+//      still be answered — degraded (history-only) answers count,
+//      errors do not.
 //   2. Replay: the same fault schedule (same seeds, same requests) run
 //      on a second fresh service must produce byte-identical reports,
 //      errors included — the context-keyed fail-point decisions make
@@ -61,8 +61,7 @@ PredictorOptions BasePredictorOptions() {
 }
 
 // Hand-built actual-run history (2 deployments per algorithm) so the
-// history-only rung can answer when both fresh and stale profiles are
-// unavailable.
+// history-only rung can answer when a profile run fails.
 HistoryStore SeedHistory() {
   HistoryStore store;
   for (const char* algorithm : kAlgorithms) {
@@ -112,10 +111,10 @@ struct ScheduleOutcome {
   int errors = 0;
 };
 
-// One full chaos run on a fresh service: a clean warm-up round (arms the
-// stale-profile rung), then kChaosRounds rounds, each starting from
-// cleared caches with profile.run failing at kFailProbability under a
-// per-round seed.
+// One full chaos run on a fresh service: a clean warm-up round (every
+// request must be answered), then kChaosRounds rounds, each starting
+// from cleared caches with profile.run failing at kFailProbability under
+// a per-round seed.
 ScheduleOutcome RunSchedule(const std::vector<PredictionRequest>& requests,
                             const HistoryStore& history) {
   fail::DisableAll();

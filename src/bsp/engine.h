@@ -120,6 +120,20 @@ struct EngineOptions {
   CostProfile cost_profile;
 };
 
+/// The options no run can start with: no workers, or no superstep
+/// budget. The engine checks them before every run; PredictionService
+/// checks a request's deployment before sampling, so an invalid one
+/// fails the request instead of degrading it.
+inline Status ValidateEngineOptions(const EngineOptions& options) {
+  if (options.num_workers == 0) {
+    return Status::InvalidArgument("num_workers == 0");
+  }
+  if (options.max_supersteps <= 0) {
+    return Status::InvalidArgument("max_supersteps must be positive");
+  }
+  return Status::OK();
+}
+
 /// Bytes of bookkeeping the memory model charges per buffered message
 /// (destination id, envelope, allocator slack).
 inline constexpr uint64_t kMessageEnvelopeBytes = 16;
@@ -283,10 +297,7 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t n = graph_->num_vertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
-  if (num_workers_ == 0) return Status::InvalidArgument("num_workers == 0");
-  if (options_.max_supersteps <= 0) {
-    return Status::InvalidArgument("max_supersteps must be positive");
-  }
+  PREDICT_RETURN_NOT_OK(ValidateEngineOptions(options_));
 
   // Partition the vertex space ("the read phase assigns partitions").
   partition_ = PartitionMap::Build(options_.partition, num_workers_, *graph_);

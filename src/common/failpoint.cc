@@ -45,14 +45,7 @@ Registry& TheRegistry() {
 }
 
 const char* CodeLabel(StatusCode code) {
-  switch (code) {
-    case StatusCode::kIOError:
-      return "io";
-    case StatusCode::kResourceExhausted:
-      return "unavailable";
-    default:
-      return "internal";
-  }
+  return code == StatusCode::kIOError ? "io" : "internal";
 }
 
 Status MakeInjected(std::string_view name, StatusCode code,
@@ -131,8 +124,6 @@ Result<Policy> ParseSpec(const std::string& spec) {
       policy.code = StatusCode::kIOError;
     } else if (option == "code=internal") {
       policy.code = StatusCode::kInternal;
-    } else if (option == "code=unavailable") {
-      policy.code = StatusCode::kResourceExhausted;
     } else {
       return Status::InvalidArgument("unknown fail-point option '" + option +
                                      "' in '" + spec + "'");

@@ -18,7 +18,7 @@
 //                       decision is independent of hit order and thread
 //                       schedule, which is what makes fault schedules
 //                       reproducible through the concurrent service
-//   [:code=io|internal|unavailable]  error category of the injection
+//   [:code=io|internal] error category of the injection
 //
 // Configuration comes from tests (Configure), the CLI (--failpoints),
 // or the PREDICT_FAILPOINTS environment variable, e.g.

@@ -1,7 +1,6 @@
 #include "common/retry.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace predict {
 
@@ -19,17 +18,10 @@ bool Deadline::Expired() const {
   return std::chrono::steady_clock::now() >= at_;
 }
 
-double Deadline::RemainingSeconds() const {
-  if (infinite_) return std::numeric_limits<double>::infinity();
-  const auto left = at_ - std::chrono::steady_clock::now();
-  return std::max(0.0, std::chrono::duration<double>(left).count());
-}
-
 bool IsRetryableStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kIOError:
     case StatusCode::kInternal:
-    case StatusCode::kResourceExhausted:
       return true;
     default:
       return false;

@@ -1,13 +1,15 @@
 // Retry policies and deadlines for the prediction pipeline.
 //
-// RetryPolicy re-attempts transient failures (IOError, Internal,
-// ResourceExhausted — never InvalidArgument/NotFound, which retrying
-// cannot fix) at once, up to a fixed number of attempts.
+// RetryPolicy re-attempts transient failures (IOError, Internal — never
+// InvalidArgument/NotFound, which retrying cannot fix, nor
+// ResourceExhausted: the engine's simulated memory budget fails the same
+// run the same way every time) at once, up to a fixed number of
+// attempts.
 //
 // Deadline is a monotonic-clock budget shared by every stage of one
-// request: each stage boundary and each attempt checks it before
-// starting. An expired deadline surfaces as StatusCode::kDeadlineExceeded,
-// which is NOT retryable — waiting longer cannot un-expire a deadline.
+// request: each attempt checks it before starting. An expired deadline
+// surfaces as StatusCode::kDeadlineExceeded, which is NOT retryable —
+// waiting longer cannot un-expire a deadline.
 
 #ifndef PREDICT_COMMON_RETRY_H_
 #define PREDICT_COMMON_RETRY_H_
@@ -29,10 +31,7 @@ class Deadline {
   static Deadline After(double seconds);
   static Deadline Infinite() { return Deadline(); }
 
-  bool infinite() const { return infinite_; }
   bool Expired() const;
-  /// Seconds left; +infinity when infinite, 0 when expired.
-  double RemainingSeconds() const;
 
  private:
   bool infinite_ = true;
@@ -47,7 +46,7 @@ struct RetryPolicy {
 };
 
 /// True for error categories a retry can plausibly fix (IOError,
-/// Internal, ResourceExhausted); false for everything else, including
+/// Internal); false for everything else, including ResourceExhausted,
 /// DeadlineExceeded and OK.
 bool IsRetryableStatus(const Status& status);
 

@@ -29,12 +29,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string FormatDouble(double value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
-  return buf;
-}
-
 std::string FormatSeconds(double seconds) {
   char buf[64];
   if (seconds < 1e-3) {

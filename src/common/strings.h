@@ -18,9 +18,6 @@ std::string_view TrimWhitespace(std::string_view s);
 /// True iff `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Formats a double with `digits` significant digits (for table output).
-std::string FormatDouble(double value, int digits = 4);
-
 /// Formats seconds with adaptive units for human-readable reports
 /// (e.g. "43.2 s", "3.1 min").
 std::string FormatSeconds(double seconds);

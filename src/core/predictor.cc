@@ -16,8 +16,6 @@ const char* DegradationRungName(DegradationRung rung) {
   switch (rung) {
     case DegradationRung::kFull:
       return "full";
-    case DegradationRung::kStaleProfile:
-      return "stale_profile";
     case DegradationRung::kHistoryOnly:
       return "history_only";
   }

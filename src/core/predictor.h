@@ -46,9 +46,8 @@ struct RobustnessOptions {
   RetryPolicy retry;
   /// Whole-request deadline in seconds; <= 0 means none.
   double deadline_seconds = 0.0;
-  /// When true, a failed or deadline-exceeded profile run degrades to a
-  /// cheaper prediction (stale profile, then history-only) instead of
-  /// failing the request.
+  /// When true, a failed or deadline-exceeded stage degrades to a
+  /// history-only prediction instead of failing the request.
   bool degraded_fallbacks = false;
 };
 
@@ -56,8 +55,6 @@ struct RobustnessOptions {
 /// degradation ladder the request landed on.
 enum class DegradationRung {
   kFull = 0,         ///< the normal five-stage pipeline
-  kStaleProfile,     ///< cached profile from a previous epoch (long-lived
-                     ///< services only)
   kHistoryOnly,      ///< no sample run at all; fit on history alone
 };
 
@@ -138,11 +135,11 @@ struct PredictionReport {
 
   /// The trained cost model (R^2, selected features, coefficients): the
   /// paper's OLS, fit on the sample run plus other datasets' history.
-  /// On the full and stale-profile rungs it predicts every iteration,
-  /// whatever worker counts the history spans — models of runtime
-  /// against worker count alone ignore the graph being predicted, and
-  /// on the same requests they read 91–137% mean |runtime error|
-  /// against the OLS's 37–40%. Empty on the history-only rung.
+  /// On the full rung it predicts every iteration, whatever worker
+  /// counts the history spans — models of runtime against worker count
+  /// alone ignore the graph being predicted, and on the same requests
+  /// they read 91–137% mean |runtime error| against the OLS's 37–40%.
+  /// Empty on the history-only rung.
   CostModel cost_model;
 
   /// Which model produced per_iteration_seconds: tier paper with its
@@ -269,10 +266,10 @@ class Predictor {
   ///
   /// Honors options().robustness: each stage runs under the retry policy
   /// and the request deadline, and when degraded_fallbacks is set a
-  /// failed stage falls back to HistoryOnlyPrediction (a call-scoped
-  /// service has no previous epoch, so the stale-profile rung never
-  /// answers). Validation failures (unknown algorithm, bad override)
-  /// never degrade — a misspelled request must fail loudly.
+  /// failed stage falls back to HistoryOnlyPrediction. Validation
+  /// failures (unknown algorithm, bad override, engine options no run
+  /// can start with) never degrade — a misspelled request must fail
+  /// loudly.
   Result<PredictionReport> PredictRuntime(const std::string& algorithm,
                                           const Graph& graph,
                                           const std::string& dataset_name = "",

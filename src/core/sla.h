@@ -32,10 +32,10 @@ struct JobRequest {
   /// job from feasible to infeasible, never the reverse.
   double confidence = 0.5;
   /// When set and the predictor runs with degraded fallbacks, a
-  /// prediction answered from a degradation rung (stale profile or
-  /// history-only) is not trusted for this job's SLA: the job is marked
-  /// infeasible regardless of the predicted number. Default: a degraded
-  /// answer is still an answer.
+  /// prediction answered from the history-only degradation rung is not
+  /// trusted for this job's SLA: the job is marked infeasible regardless
+  /// of the predicted number. Default: a degraded answer is still an
+  /// answer.
   bool require_full_quality = false;
 };
 

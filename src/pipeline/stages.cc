@@ -13,17 +13,13 @@ namespace predict::pipeline {
 
 namespace {
 
-// Every stage boundary funnels through here: check the request deadline
-// before starting, run the stage body under the caller's retry policy,
-// and annotate any error with the stage's name so it keeps its
+// Every stage boundary funnels through here: run the stage body under
+// the caller's retry policy and request deadline (checked before every
+// attempt), and annotate any error with the stage's name so it keeps its
 // provenance ("profile_stage: injected fault at 'profile.run' ...").
 template <typename Fn>
 auto RunStage(const char* stage, const StageContext& ctx, Fn&& fn)
     -> decltype(fn()) {
-  if (ctx.deadline.Expired()) {
-    return Status::DeadlineExceeded(std::string(stage) +
-                                    ": deadline expired before the stage ran");
-  }
   auto result = RunWithRetry(ctx.retry, ctx.deadline, stage,
                              std::forward<Fn>(fn), ctx.accounting);
   if (!result.ok() && !StartsWith(result.status().message(), stage)) {

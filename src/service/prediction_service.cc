@@ -127,13 +127,6 @@ Result<PredictionReport> PredictionService::Predict(
   }
   const Graph& graph = *request.graph;
 
-  // Fail fast on an unknown algorithm or bad override before sampling
-  // (and before occupying a sample-cache slot for a doomed request).
-  // Never degrades: a misspelled request must fail loudly.
-  const Status valid =
-      stages_.transform.Validate(request.algorithm, request.overrides);
-  if (!valid.ok()) return valid;
-
   const RobustnessOptions& robustness = options_.predictor.robustness;
   const Deadline deadline = robustness.deadline_seconds > 0
                                 ? Deadline::After(robustness.deadline_seconds)
@@ -158,6 +151,14 @@ Result<PredictionReport> PredictionService::Predict(
     engine = request.scenario->ToEngineOptions(0);
     engine_key = bsp::EngineOptionsKey(engine);
   }
+
+  // Fail fast on an unknown algorithm, a bad override or an engine no
+  // run can start on, before sampling (and before occupying a
+  // sample-cache slot for a doomed request). Never degrades: a
+  // misspelled request must fail loudly.
+  PREDICT_RETURN_NOT_OK(
+      stages_.transform.Validate(request.algorithm, request.overrides));
+  PREDICT_RETURN_NOT_OK(bsp::ValidateEngineOptions(engine));
 
   // The ladder's bottom rung: answer from history alone, at the target
   // deployment's scale.
@@ -213,34 +214,10 @@ Result<PredictionReport> PredictionService::Predict(
             stages_.profile.RunWithEngine(request.algorithm, request.dataset,
                                           **sample, transform, engine,
                                           profile_ctx));
-        auto shared = std::make_shared<const pipeline::ProfileArtifact>(
+        return std::make_shared<const pipeline::ProfileArtifact>(
             std::move(artifact));
-        // Every successful profile run refreshes the stale-profile rung.
-        std::lock_guard<std::mutex> lock(mutex_);
-        last_good_profiles_[profile_key] = shared;
-        return shared;
       });
-  DegradationInfo degradation;
-  if (!profile.ok()) {
-    if (!robustness.degraded_fallbacks) return profile.status();
-    // Middle rung: the last profile this service (ever) computed for the
-    // exact same key — same sample, config, deployment, just possibly
-    // from a previous cache epoch.
-    ProfilePtr stale;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = last_good_profiles_.find(profile_key);
-      if (it != last_good_profiles_.end()) {
-        stale = it->second;
-        ++stats_.stale_profile_hits;
-      }
-    }
-    if (stale == nullptr) return history_only(profile.status());
-    degradation.rung = DegradationRung::kStaleProfile;
-    degradation.cause = profile.status().ToString();
-    profile = stale;
-    profile_reused = true;  // answered from a prior epoch's artifact
-  }
+  if (!profile.ok()) return history_only(profile.status());
 
   // 4-6. Extrapolate, fit, predict — per request, never cached (history
   // exclusion and the full graph differ per request). History rows carry
@@ -253,7 +230,6 @@ Result<PredictionReport> PredictionService::Predict(
       assemble_stages, graph, request.algorithm, request.dataset, **sample,
       transform, **profile, fit_ctx);
   if (!report.ok()) return history_only(report.status());
-  report->degradation = degradation;
   report->accounting = accounting;
   // Transform, extrapolate, and fit always execute per request; sample
   // and profile are the cacheable stages.

@@ -47,11 +47,11 @@
 //   - Concurrent joiners of a failed computation receive that failure
 //     (deterministic under an armed fault schedule), but do not latch it.
 //   - With predictor.robustness.degraded_fallbacks set, a failed or
-//     deadline-exceeded request walks the degradation ladder: last good
-//     profile cached for the same profile key (survives ClearCaches —
-//     "previous epoch" semantics), then a history-only fit, then the
-//     explicit error. The report's `degradation` field says which rung
-//     answered.
+//     deadline-exceeded request falls back to a history-only fit, and
+//     only then to the explicit error. The report's `degradation` field
+//     says which rung answered. Validation failures (unknown algorithm,
+//     bad override, engine options no run can start with) never
+//     degrade.
 
 #ifndef PREDICT_SERVICE_PREDICTION_SERVICE_H_
 #define PREDICT_SERVICE_PREDICTION_SERVICE_H_
@@ -113,9 +113,8 @@ struct ServiceCacheStats {
   uint64_t sample_misses = 0;
   uint64_t profile_hits = 0;
   uint64_t profile_misses = 0;
-  /// Degraded-mode accounting: requests answered from the stale-profile
-  /// rung and from the history-only rung.
-  uint64_t stale_profile_hits = 0;
+  /// Degraded-mode accounting: requests answered from the history-only
+  /// rung.
   uint64_t history_only_fallbacks = 0;
   /// Incremental-sampling accounting: sample-cache misses answered by
   /// splicing the previous walk record (vs sampling from scratch), and
@@ -165,7 +164,7 @@ class PredictionService {
   ServiceCacheStats cache_stats() const;
 
   /// Drops every cached artifact and the incremental-sampling state
-  /// (stats and last-good profiles are kept). Returns what was evicted.
+  /// (stats are kept). Returns what was evicted.
   ServiceCacheEvictions ClearCaches();
 
   const PredictionServiceOptions& options() const { return options_; }
@@ -219,15 +218,9 @@ class PredictionService {
   std::mutex batch_mutex_;
   bsp::ThreadPool pool_;
 
-  mutable std::mutex mutex_;  // guards the maps below and stats_
+  mutable std::mutex mutex_;  // guards the members below
   Cache<SamplePtr> sample_cache_;
   Cache<ProfilePtr> profile_cache_;
-  /// Last successfully computed profile per profile key: the
-  /// stale-profile degradation rung. Updated on every successful profile
-  /// compute; intentionally NOT dropped by ClearCaches, so a service
-  /// whose caches were cleared (a "restart") can still answer from the
-  /// previous epoch's profiles when the fresh run fails.
-  std::unordered_map<std::string, ProfilePtr> last_good_profiles_;
   /// The walk record of the last sample this service computed (it holds
   /// that graph's fingerprint) — the splice source for a child version's
   /// incremental re-sample. One immutable snapshot: the evolving-graph

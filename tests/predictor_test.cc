@@ -299,7 +299,7 @@ TEST(PredictionReportTest, DeterministicContentCoversEveryField) {
   EXPECT_CHANGES(++r.distribution.seed);
   EXPECT_CHANGES(ulp(r.sample_total_seconds));
   EXPECT_CHANGES(ulp(r.realized_sampling_ratio));
-  EXPECT_CHANGES(r.degradation.rung = DegradationRung::kStaleProfile);
+  EXPECT_CHANGES(r.degradation.rung = DegradationRung::kHistoryOnly);
   EXPECT_CHANGES(r.degradation.cause += "x");
   for (RunProfile PredictionReport::*p :
        {&PredictionReport::sample_profile,

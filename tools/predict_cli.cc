@@ -202,8 +202,8 @@ Status ParseSamplerFlags(const Flags& flags, SamplerOptions* options) {
 /// arms fault-injection sites ("name=spec;name=spec"; see
 /// common/failpoint.h), --retries N re-attempts each failed stage at
 /// once, up to N more times, --deadline S bounds the whole request,
-/// --degraded enables the degradation ladder (stale profile /
-/// history-only) instead of failing the request.
+/// --degraded answers a failed request from history alone instead of
+/// failing it.
 Status ParseRobustnessFlags(const Flags& flags, PredictorOptions* options) {
   const std::string failpoints = GetFlag(flags, "failpoints");
   if (!failpoints.empty()) {
@@ -661,14 +661,12 @@ int CmdBatch(const Flags& flags) {
   }
   const ServiceCacheStats stats = service.cache_stats();
   std::printf("\n%zu requests; sample cache %llu hits / %llu misses, profile "
-              "cache %llu hits / %llu misses, %llu stale-profile hits, "
-              "%llu history-only fallbacks\n",
+              "cache %llu hits / %llu misses, %llu history-only fallbacks\n",
               requests.size(),
               static_cast<unsigned long long>(stats.sample_hits),
               static_cast<unsigned long long>(stats.sample_misses),
               static_cast<unsigned long long>(stats.profile_hits),
               static_cast<unsigned long long>(stats.profile_misses),
-              static_cast<unsigned long long>(stats.stale_profile_hits),
               static_cast<unsigned long long>(stats.history_only_fallbacks));
   if (stats.incremental_sample_updates > 0) {
     std::printf("incremental sampling: %llu updates, %llu segments reused\n",
