@@ -52,6 +52,11 @@ struct SampleKey {
 
 /// Output of SampleStage: the sampled subgraph plus its identity.
 struct SampleArtifact {
+  /// The version the sample was drawn from. PredictionService shares one
+  /// artifact across the later versions that keep its sample (KeepsSample
+  /// in sampling/sampler.h), whose own keys differ: there the key names
+  /// the version the sample was first drawn from. Nothing downstream of
+  /// the sample cache reads it.
   SampleKey key;
   Sample sample;
 

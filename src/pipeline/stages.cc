@@ -28,20 +28,32 @@ auto RunStage(const char* stage, const StageContext& ctx, Fn&& fn)
   return result;
 }
 
-// The one body of every SampleStage run: stamp the artifact's key,
-// consult the sample.walk fail point, then draw the sample.
+// The one boundary of every SampleStage run: consult the sample.walk
+// fail point, keyed on `graph`'s SampleKey, then run `body`.
+template <typename Body>
+auto RunSampleBoundary(const Graph& graph, const SamplerOptions& options,
+                       const StageContext& ctx, Body body) -> decltype(body()) {
+  return RunStage("sample_stage", ctx, [&]() -> decltype(body()) {
+    PREDICT_FAIL_POINT_CTX(
+        "sample.walk",
+        fail::HashContext(SampleKey::For(graph, options).ToString()));
+    return body();
+  });
+}
+
+// The body of every run that draws: stamp the artifact's key, then draw
+// the sample.
 template <typename DrawFn>
 Result<SampleArtifact> RunSampleStage(const Graph& graph,
                                       const SamplerOptions& options,
                                       const StageContext& ctx, DrawFn draw) {
-  return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
-    SampleArtifact artifact;
-    artifact.key = SampleKey::For(graph, options);
-    PREDICT_FAIL_POINT_CTX("sample.walk",
-                           fail::HashContext(artifact.key.ToString()));
-    PREDICT_ASSIGN_OR_RETURN(artifact.sample, draw());
-    return artifact;
-  });
+  return RunSampleBoundary(
+      graph, options, ctx, [&]() -> Result<SampleArtifact> {
+        SampleArtifact artifact;
+        artifact.key = SampleKey::For(graph, options);
+        PREDICT_ASSIGN_OR_RETURN(artifact.sample, draw());
+        return artifact;
+      });
 }
 
 }  // namespace
@@ -116,6 +128,14 @@ Result<SampleArtifact> SampleStage::RunIncremental(
     if (stats != nullptr) *stats = incremental;
     return std::move(incremental.sample);
   });
+}
+
+Status SampleStage::RunKept(const Graph& graph,
+                            const StageContext& ctx) const {
+  // Nothing is drawn: the boundary alone decides the outcome.
+  return RunSampleBoundary(graph, options_, ctx,
+                           [] { return Result<bool>(true); })
+      .status();
 }
 
 Status TransformStage::Validate(const std::string& algorithm,

@@ -75,6 +75,13 @@ class SampleStage {
                                         IncrementalStats* stats,
                                         const StageContext& ctx = {}) const;
 
+  /// The stage boundary alone, for a mutated `graph` that keeps a sample
+  /// the caller already holds (KeepsSample in sampling/sampler.h): the
+  /// retry policy, deadline, accounting and sample.walk fail point
+  /// (keyed on `graph`'s SampleKey) of every other run, with nothing
+  /// walked, extracted or hashed.
+  Status RunKept(const Graph& graph, const StageContext& ctx = {}) const;
+
   const SamplerOptions& options() const { return options_; }
 
  private:

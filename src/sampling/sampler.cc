@@ -146,11 +146,6 @@ void WalkSegment(const Graph& graph, const SamplerOptions& options,
   }
 }
 
-uint64_t SegmentCount(const SampleWalkRecord& record) {
-  return record.segment_offsets.empty() ? 0
-                                        : record.segment_offsets.size() - 1;
-}
-
 // A walk record to splice from, the vertices whose out-rows changed since
 // it was walked, and how many of its segments the walk replayed.
 struct SpliceSource {
@@ -182,7 +177,7 @@ void RunSegmented(const Graph& graph, const SamplerOptions& options,
   const uint64_t segment_steps = options.walk_segment_steps;
   const uint64_t max_steps = StepBudget(picks.target());
   const uint64_t recorded =
-      splice == nullptr ? 0 : SegmentCount(splice->record);
+      splice == nullptr ? 0 : splice->record.segment_count();
   std::vector<VertexId> visits;
   std::vector<uint64_t> offsets{0};
   for (uint64_t i = 0; !picks.Done() && i * segment_steps < max_steps; ++i) {
@@ -202,10 +197,12 @@ void RunSegmented(const Graph& graph, const SamplerOptions& options,
     }
   }
   Rng fill = Rng(options.seed).Fork(kFillStream);
+  const uint64_t walked = picks.order().size();
   while (!picks.Done()) {
     picks.Add(static_cast<VertexId>(fill.Uniform(n)));
   }
   if (record != nullptr) {
+    record->fill_picks = picks.order().size() - walked;
     record->segment_offsets = std::move(offsets);
     record->touched.assign(n, 0);
     for (const VertexId v : visits) record->touched[v] = 1;
@@ -362,6 +359,18 @@ struct DrawPlan {
   std::vector<VertexId> brj_seeds;
 };
 
+// The splice rules: whether `record` may be spliced on an n-vertex
+// graph drawn under `plan` whose changed rows number `dirty_count`. A
+// segment is only replayable from a segmented walk of a graph with the
+// same |V|; BRJ restarts must draw from the same seed set (every
+// segment's restarts would shift otherwise); and past |V|/4 dirty
+// vertices the splice check itself stops paying.
+bool Spliceable(const SampleWalkRecord& record, const DrawPlan& plan,
+                uint64_t n, uint64_t dirty_count) {
+  return record.supports_incremental && record.touched.size() == n &&
+         record.brj_seeds == plan.brj_seeds && dirty_count * 4 <= n;
+}
+
 // Validates `options` against `graph` before anything walks. Every range
 // is checked for every kind, each as the condition that must hold: NaN
 // fails any comparison, so it fails these.
@@ -500,15 +509,8 @@ Result<IncrementalSampleResult> ResampleIncremental(
   const SamplerOptions& options = record.options;
   PREDICT_ASSIGN_OR_RETURN(const DrawPlan plan, PlanDraw(graph, options));
 
-  // The splice rules. A segment is only replayable from a segmented walk
-  // of a graph with the same |V|; BRJ restarts must draw from the same
-  // seed set (every segment's restarts would shift otherwise); and past
-  // |V|/4 dirty vertices the splice check itself stops paying. Anything
-  // else walks from scratch.
-  const bool splice = record.supports_incremental &&
-                      record.touched.size() == n &&
-                      record.brj_seeds == plan.brj_seeds &&
-                      dirty.size() * 4 <= n;
+  // A record the splice rules refuse walks from scratch.
+  const bool splice = Spliceable(record, plan, n, dirty.size());
   SpliceSource source{record, {}};
   if (splice) {
     source.dirty.assign(n, 0);
@@ -519,10 +521,33 @@ Result<IncrementalSampleResult> ResampleIncremental(
   PREDICT_ASSIGN_OR_RETURN(
       result.sample, DrawSample(graph, options, plan,
                                 splice ? &source : nullptr, updated));
-  result.segments_total = SegmentCount(*updated);
+  result.segments_total = updated->segment_count();
   result.segments_reused = source.reused;
   result.full_resample = !splice;
   return result;
+}
+
+bool KeepsSample(const Graph& graph, const std::vector<VertexId>& dirty,
+                 const SampleWalkRecord& record) {
+  // Why the sample is the record's, byte for byte. No dirty vertex lies
+  // on a recorded trajectory, so every recorded segment is clean and
+  // RunSegmented splices each one through, in order: the picks are the
+  // record's, in its order. The fill never ran, so those segments alone
+  // reached the target: the walk stops after the same segment, and every
+  // pick is a touched vertex. InducedSubgraph builds the subgraph from
+  // the picks' out-rows alone, and no pick's row is dirty: same targets,
+  // same weights. (It stores weights only when a kept one is not 1.0, so
+  // a flip of the graph's weightedness, which dirties no row, changes
+  // nothing.) |V|, and with it the realized ratio, is the record's too.
+  const uint64_t n = graph.num_vertices();
+  const Result<DrawPlan> plan = PlanDraw(graph, record.options);
+  if (!plan.ok() || !Spliceable(record, *plan, n, dirty.size()) ||
+      record.fill_picks != 0) {
+    return false;
+  }
+  return std::none_of(dirty.begin(), dirty.end(), [&](VertexId v) {
+    return v >= n || record.touched[v] != 0;
+  });
 }
 
 }  // namespace predict

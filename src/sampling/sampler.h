@@ -104,13 +104,16 @@ Result<std::vector<VertexId>> SampleVertices(const Graph& graph,
                                              const SamplerOptions& options);
 
 /// \brief Everything needed to maintain a characterized sample under
-/// graph mutation: the full per-segment walk trajectories plus a
-/// touched-vertex bitmap, recorded while sampling.
+/// graph mutation: the full per-segment walk trajectories, a
+/// touched-vertex bitmap and whether the uniform fill ran, recorded while
+/// sampling.
 ///
 /// A segment whose trajectory avoids every mutated vertex walks
 /// identically on the mutated graph, so ResampleIncremental replays its
-/// recorded trajectory instead of re-walking it. Which records it may
-/// splice from is ResampleIncremental's decision alone.
+/// recorded trajectory instead of re-walking it, and when the mutation
+/// misses every trajectory KeepsSample says the sample itself survives.
+/// Which records may be spliced or kept is decided by those two
+/// functions alone, on one shared set of preconditions.
 struct SampleWalkRecord {
   SamplerOptions options;
   /// Graph::Fingerprint() of the graph this record was walked on.
@@ -128,8 +131,17 @@ struct SampleWalkRecord {
   std::vector<VertexId> visits;
   /// Dense byte bitmap over the walked graph's |V| vertices (so its size
   /// is that |V|): 1 iff any segment visited the vertex. Empty for an
-  /// unsegmented walk.
+  /// unsegmented walk. Vertices the uniform fill picked are not marked.
   std::vector<uint8_t> touched;
+  /// Vertices the uniform fill added after the segments ran out of step
+  /// budget short of the target; 0 = the walk alone reached it (and for
+  /// an unsegmented walk). Fill picks sit in the sample untouched.
+  uint64_t fill_picks = 0;
+
+  /// Number of recorded segments.
+  uint64_t segment_count() const {
+    return segment_offsets.empty() ? 0 : segment_offsets.size() - 1;
+  }
 };
 
 /// SampleGraph, additionally filling `record` (must be non-null) so the
@@ -156,11 +168,13 @@ struct IncrementalSampleResult : IncrementalSampleStats {
 };
 
 /// \brief Re-derives the sample on a mutated graph, re-walking only
-/// segments whose recorded trajectory touched a vertex in `dirty` (the
-/// DirtyOutVertices set between the recorded graph and `graph`).
+/// segments whose recorded trajectory touched a vertex in `dirty`: the
+/// DirtyOutVertices set between `graph` and a version whose walk `record`
+/// is — the one it was walked on, or a later one that KeepsSample kept
+/// the sample for.
 ///
-/// Every rule about when `record` can be spliced lives here, checked
-/// before anything walks. The record must be a segmented RJ/BRJ walk
+/// The splice rules, shared with KeepsSample and checked before anything
+/// walks: the record must be a segmented RJ/BRJ walk
 /// (supports_incremental) of a graph with `graph`'s |V| (touched.size()),
 /// its BRJ seed set must be the one `graph` yields, and `dirty` may name
 /// at most |V|/4 vertices — past that the splice check itself stops
@@ -175,6 +189,23 @@ struct IncrementalSampleResult : IncrementalSampleStats {
 Result<IncrementalSampleResult> ResampleIncremental(
     const Graph& graph, const std::vector<VertexId>& dirty,
     const SampleWalkRecord& record, SampleWalkRecord* updated);
+
+/// \brief The kept-sample rule: true iff the sample of `graph` is the
+/// sample the walk `record` drew, byte for byte, so a caller holding that
+/// sample may keep it instead of calling ResampleIncremental. `dirty` is
+/// as for ResampleIncremental.
+///
+/// It holds when all three of these do: ResampleIncremental's splice
+/// rules admit the record; no dirty vertex is touched; and the recorded
+/// walk needed no uniform fill (fill_picks == 0). Then every segment
+/// splices through, the picks come out in the record's order, and the
+/// induced subgraph is built from out-rows the mutation left alone. The
+/// walk is then also `graph`'s own, so `record` stays the splice source
+/// for the next version. Anything else, an invalid `dirty` id included,
+/// is false. Cost: O(|dirty|), plus for BRJ the seed set's O(|V| log k)
+/// selection.
+bool KeepsSample(const Graph& graph, const std::vector<VertexId>& dirty,
+                 const SampleWalkRecord& record);
 
 }  // namespace predict
 

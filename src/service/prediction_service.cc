@@ -87,37 +87,49 @@ Result<ValuePtr> PredictionService::GetOrCompute(
 
 Result<PredictionService::SamplePtr> PredictionService::ComputeSample(
     const Graph& graph, const pipeline::StageContext& ctx) {
-  // The record is an immutable snapshot: concurrent computes may all
-  // splice from it.
-  std::shared_ptr<const SampleWalkRecord> record;
+  // The walk state is an immutable snapshot: concurrent computes may all
+  // keep or splice from it.
+  WalkState walk;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    record = walk_record_;
+    walk = walk_;
   }
 
-  // A version whose lineage names the record's graph hands the sampler
-  // its dirty rows; the sampler decides whether the record can be
-  // spliced. Any other graph walks from scratch.
+  // A version whose lineage names the snapshot's version hands the
+  // sampler its dirty rows; the sampler decides whether the sample is
+  // kept whole or the record spliced. Any other graph walks from scratch.
   const GraphLineage* lineage = graph.lineage();
-  const bool from_record = record != nullptr && lineage != nullptr &&
+  const bool from_record = walk.record != nullptr && lineage != nullptr &&
                            lineage->parent_fingerprint ==
-                               record->graph_fingerprint;
+                               walk.graph_fingerprint;
+  if (from_record && KeepsSample(graph, lineage->dirty, *walk.record)) {
+    // The version's sample is the snapshot's, byte for byte: share the
+    // artifact and the record, and advance the snapshot to this version.
+    PREDICT_RETURN_NOT_OK(stages_.sample.RunKept(graph, ctx));
+    std::lock_guard<std::mutex> lock(mutex_);
+    walk_ = {graph.Fingerprint(), walk.record, walk.sample};
+    ++stats_.incremental_sample_updates;
+    stats_.incremental_segments_reused += walk.record->segment_count();
+    return walk.sample;
+  }
   auto updated = std::make_shared<SampleWalkRecord>();
   pipeline::SampleStage::IncrementalStats inc_stats;
   PREDICT_ASSIGN_OR_RETURN(
       pipeline::SampleArtifact artifact,
       from_record
-          ? stages_.sample.RunIncremental(graph, lineage->dirty, *record,
+          ? stages_.sample.RunIncremental(graph, lineage->dirty, *walk.record,
                                           updated.get(), &inc_stats, ctx)
           : stages_.sample.RunRecorded(graph, updated.get(), ctx));
+  auto sample =
+      std::make_shared<const pipeline::SampleArtifact>(std::move(artifact));
 
   std::lock_guard<std::mutex> lock(mutex_);
-  walk_record_ = std::move(updated);
+  walk_ = {graph.Fingerprint(), std::move(updated), sample};
   if (from_record && !inc_stats.full_resample) {
     ++stats_.incremental_sample_updates;
     stats_.incremental_segments_reused += inc_stats.segments_reused;
   }
-  return std::make_shared<const pipeline::SampleArtifact>(std::move(artifact));
+  return sample;
 }
 
 Result<PredictionReport> PredictionService::Predict(
@@ -277,10 +289,10 @@ ServiceCacheEvictions PredictionService::ClearCaches() {
   ServiceCacheEvictions evicted;
   evicted.sample_entries = sample_cache_.size();
   evicted.profile_entries = profile_cache_.size();
-  evicted.incremental_states = walk_record_ != nullptr ? 1 : 0;
+  evicted.incremental_states = walk_.record != nullptr ? 1 : 0;
   sample_cache_.clear();
   profile_cache_.clear();
-  walk_record_.reset();
+  walk_ = {};
   return evicted;
 }
 

@@ -25,15 +25,19 @@
 // Keying profiles on the sample's content rather than the graph version
 // keeps them hitting across graph churn that leaves the sample unchanged.
 //
-// Evolving graphs: the service keeps the walk record of the last graph it
-// sampled, and a sample-cache miss for an EvolvingGraph version Apply
-// built from that graph (see GraphLineage) hands the record and the
-// version's changed rows to the sampler. With
-// predictor.sampler.walk_segment_steps > 0 it re-walks only the segments
-// those rows touch; ResampleIncremental (sampling/sampler.h) holds every
-// rule on when it may splice, and otherwise walks from scratch. Either
-// way the sample is bit-identical to the from-scratch walk every other
-// graph gets.
+// Evolving graphs: the service keeps the last sample it computed together
+// with the walk record that drew it. A sample-cache miss for an
+// EvolvingGraph version Apply built from that sample's graph (see
+// GraphLineage) hands the record and the version's changed rows to the
+// sampler, which needs predictor.sampler.walk_segment_steps > 0. When no
+// changed row lies on the recorded walk (KeepsSample,
+// sampling/sampler.h), the version keeps that sample: its cache slot
+// shares the parent's artifact, and nothing is walked, extracted or
+// hashed. Otherwise the sampler re-walks only the segments those rows
+// touch (ResampleIncremental holds every rule on when it may splice),
+// or walks from scratch. Every way, the sample is bit-identical to the
+// from-scratch walk every other graph gets; the kept path still passes
+// the sample stage's boundary, so fault schedules replay as before.
 //
 // Determinism contract: every stage is deterministic, so a report served
 // from warm caches under any concurrency has the DeterministicContent
@@ -117,8 +121,10 @@ struct ServiceCacheStats {
   /// rung.
   uint64_t history_only_fallbacks = 0;
   /// Incremental-sampling accounting: sample-cache misses answered by
-  /// splicing the previous walk record (vs sampling from scratch), and
-  /// walk segments replayed without re-walking across those updates.
+  /// keeping the previous sample or splicing its walk record (vs
+  /// sampling from scratch), and walk segments replayed without
+  /// re-walking across those updates (a kept sample counts every
+  /// recorded segment).
   uint64_t incremental_sample_updates = 0;
   uint64_t incremental_segments_reused = 0;
 };
@@ -127,7 +133,8 @@ struct ServiceCacheStats {
 struct ServiceCacheEvictions {
   uint64_t sample_entries = 0;
   uint64_t profile_entries = 0;
-  /// 1 if a retained incremental-sampling walk record was dropped.
+  /// 1 if the retained walk state (a walk record and its sample) was
+  /// dropped.
   uint64_t incremental_states = 0;
 };
 
@@ -197,11 +204,24 @@ class PredictionService {
                                 uint64_t& hits, uint64_t& misses, bool& hit,
                                 Compute compute);
 
-  /// Computes the sample artifact on a cache miss: from the retained
-  /// walk record when the graph's lineage names its graph, from scratch
-  /// otherwise.
+  /// Computes the sample artifact on a cache miss: kept or spliced from
+  /// the walk state when the graph's lineage names its version, from
+  /// scratch otherwise.
   Result<SamplePtr> ComputeSample(const Graph& graph,
                                   const pipeline::StageContext& ctx);
+
+  /// The last sample this service computed, the walk that drew it, and
+  /// the version it stands for — the source a child version's sample is
+  /// kept or spliced from. A kept version shares the record and the
+  /// sample: the walk is its walk too.
+  struct WalkState {
+    /// Fingerprint() of the version. The record's own graph_fingerprint
+    /// names the version the walk ran on: an ancestor, once a version
+    /// kept its sample.
+    uint64_t graph_fingerprint = 0;
+    std::shared_ptr<const SampleWalkRecord> record;  // null: no state
+    SamplePtr sample;
+  };
 
   PredictionServiceOptions options_;
   PredictionPipeline stages_;
@@ -221,13 +241,11 @@ class PredictionService {
   mutable std::mutex mutex_;  // guards the members below
   Cache<SamplePtr> sample_cache_;
   Cache<ProfilePtr> profile_cache_;
-  /// The walk record of the last sample this service computed (it holds
-  /// that graph's fingerprint) — the splice source for a child version's
-  /// incremental re-sample. One immutable snapshot: the evolving-graph
-  /// workload this serves is "predict, churn, re-predict" on one logical
-  /// graph. A compute copies the pointer and publishes its own record
-  /// only on success, so a failed walk leaves the last good one in place.
-  std::shared_ptr<const SampleWalkRecord> walk_record_;
+  /// One immutable snapshot, counted as one incremental state: the
+  /// evolving-graph workload this serves is "predict, churn, re-predict"
+  /// on one logical graph. A compute copies it and publishes its own only
+  /// on success, so a failed walk leaves the last good one in place.
+  WalkState walk_;
   ServiceCacheStats stats_;
 };
 

@@ -476,6 +476,101 @@ TEST(IncrementalSampleTest, BrjSeedShiftForcesFullResample) {
   auto cold = SampleGraph(mutated, options);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(incremental->sample.vertices, cold->vertices);
+  // Vertex 5 is dirty but off every trajectory: only the seed shift
+  // stops the sample from being kept.
+  ASSERT_EQ(dirty, std::vector<VertexId>{5});
+  ASSERT_FALSE(record.touched[5]);
+  EXPECT_FALSE(KeepsSample(mutated, dirty, record));
+}
+
+// Churn on rows no trajectory read keeps the sample, byte for byte, and
+// the record with it: the cold walk of the mutated graph writes the same
+// trajectories. A dirty row on a trajectory, or an invalid id, does not.
+TEST(IncrementalSampleTest, KeepsSampleWhenNoWalkedRowChanged) {
+  const Graph base = EvolvingGraph::Canonicalize(ScaleFree(8000));
+  const SamplerOptions options =
+      SegmentedOptions(SamplerKind::kRandomJump, 0.1, 256);
+  SampleWalkRecord record;
+  auto original = SampleGraphRecorded(base, options, &record);
+  ASSERT_TRUE(original.ok());
+  ASSERT_EQ(record.fill_picks, 0u);
+
+  std::vector<VertexId> untouched;
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    if (!record.touched[v]) untouched.push_back(v);
+  }
+  ASSERT_GE(untouched.size(), 2u);
+  EvolvingGraph evolving(base);
+  ASSERT_TRUE(evolving
+                  .Apply({EdgeDelta::Insert(untouched[0], record.visits[0]),
+                          EdgeDelta::Insert(untouched[1], untouched[0], 2.0f)})
+                  .ok());
+  const Graph mutated = **evolving.Current();
+  const std::vector<VertexId> dirty = mutated.lineage()->dirty;
+  ASSERT_EQ(dirty.size(), 2u);
+  EXPECT_TRUE(KeepsSample(mutated, dirty, record));
+
+  SampleWalkRecord cold_record;
+  auto cold = SampleGraphRecorded(mutated, options, &cold_record);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold->vertices, original->vertices);
+  EXPECT_EQ(cold->subgraph.Fingerprint(), original->subgraph.Fingerprint());
+  EXPECT_EQ(cold->subgraph.is_weighted(), original->subgraph.is_weighted());
+  EXPECT_EQ(cold->realized_ratio, original->realized_ratio);
+  EXPECT_EQ(cold_record.segment_offsets, record.segment_offsets);
+  EXPECT_EQ(cold_record.visits, record.visits);
+  EXPECT_EQ(cold_record.fill_picks, 0u);
+
+  EXPECT_FALSE(KeepsSample(mutated, {record.visits[0]}, record));
+  EXPECT_FALSE(KeepsSample(
+      mutated, {static_cast<VertexId>(base.num_vertices())}, record));
+}
+
+// BRJ restarts trapped in a 4-vertex component reach 4 of the 40
+// vertices asked for; the uniform fill picks the rest. A fill pick is in
+// the sample but off every trajectory, so churn on its row must not keep
+// the sample: its row is part of the induced subgraph.
+TEST(IncrementalSampleTest, KeepsSampleDeclinesAFilledVertex) {
+  std::vector<Edge> edges;
+  for (int copy = 0; copy < 8; ++copy) {
+    for (VertexId v = 0; v < 4; ++v) {
+      for (VertexId d = 0; d < 4; ++d) {
+        if (d != v) edges.push_back({v, d, 1.0f});
+      }
+    }
+  }
+  const Graph base = EvolvingGraph::Canonicalize(
+      Graph::FromEdges(200, std::move(edges)).MoveValue());
+  const SamplerOptions options =
+      SegmentedOptions(SamplerKind::kBiasedRandomJump, 0.2, 64);
+  SampleWalkRecord record;
+  auto original = SampleGraphRecorded(base, options, &record);
+  ASSERT_TRUE(original.ok());
+  ASSERT_EQ(original->vertices.size(), 40u);
+  ASSERT_EQ(record.fill_picks, 36u);
+
+  // Two fill picks: an edge between them lands in the induced subgraph.
+  const VertexId filled = original->vertices[4];
+  const VertexId other = original->vertices[5];
+  ASSERT_FALSE(record.touched[filled]);
+  EvolvingGraph evolving(base);
+  ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(filled, other)}).ok());
+  const Graph mutated = **evolving.Current();
+  const std::vector<VertexId> dirty = mutated.lineage()->dirty;
+  ASSERT_EQ(dirty, std::vector<VertexId>{filled});
+
+  EXPECT_FALSE(KeepsSample(mutated, dirty, record));
+  SampleWalkRecord updated;
+  auto incremental = ResampleIncremental(mutated, dirty, record, &updated);
+  ASSERT_TRUE(incremental.ok());
+  SampleWalkRecord cold_record;
+  auto cold = SampleGraphRecorded(mutated, options, &cold_record);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(incremental->sample.vertices, cold->vertices);
+  EXPECT_EQ(incremental->sample.subgraph.Fingerprint(),
+            cold->subgraph.Fingerprint());
+  EXPECT_NE(cold->subgraph.Fingerprint(), original->subgraph.Fingerprint());
+  EXPECT_EQ(updated.fill_picks, cold_record.fill_picks);
 }
 
 TEST(IncrementalSampleTest, UnsegmentedRecordFallsBackToFullResample) {

@@ -497,39 +497,125 @@ TEST(ServiceStalenessTest, ChildVersionResamplesFromItsLineage) {
   EXPECT_EQ(DeterministicContent(report), DeterministicContent(direct));
 }
 
-// A transient fault in a child version's re-walk must not cost the
-// walk record it took: the retry still re-samples from the lineage.
+// A transient fault in a child version's sample compute must not cost
+// the walk record it took: the retry still re-samples from the lineage.
+// Two children: vertex 3, on the walk, re-walks by splicing; a source the
+// walk never touched keeps its parent's sample, and its retry too.
 TEST(ServiceStalenessTest, FailedResampleKeepsTheWalkRecord) {
   const PredictionServiceOptions options = IncrementalServiceOptions();
-  EvolvingGraph evolving(TestGraph(4000, 83));
+  SampleWalkRecord record;
+  ASSERT_TRUE(SampleGraphRecorded(EvolvingGraph::Canonicalize(
+                                      TestGraph(4000, 83)),
+                                  options.predictor.sampler, &record)
+                  .ok());
+  ASSERT_TRUE(record.touched[3]);
+  ASSERT_EQ(record.fill_picks, 0u);
+  VertexId untouched = 0;
+  while (record.touched[untouched]) ++untouched;
+
+  for (const VertexId source : {VertexId{3}, untouched}) {
+    SCOPED_TRACE("dirty source " + std::to_string(source));
+    EvolvingGraph evolving(TestGraph(4000, 83));
+    PredictionService service(options);
+    PredictionRequest request;
+    request.algorithm = "connected_components";
+    request.dataset = "ds";
+
+    auto parent = evolving.Current();
+    ASSERT_TRUE(parent.ok());
+    request.graph = *parent;
+    ASSERT_TRUE(service.Predict(request).ok());
+
+    ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(source, 17)}).ok());
+    auto child = evolving.Current();
+    ASSERT_TRUE(child.ok());
+    request.graph = *child;
+    ASSERT_TRUE(fail::Configure("sample.walk", "once").ok());
+    auto failed = service.Predict(request);
+    fail::DisableAll();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(service.cache_stats().incremental_sample_updates, 0u);
+
+    const uint64_t scans = Graph::FingerprintComputationsForTest();
+    auto retried = service.Predict(request);
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_EQ(service.cache_stats().incremental_sample_updates, 1u);
+    // A kept sample's subgraph was hashed with its parent's.
+    EXPECT_EQ(Graph::FingerprintComputationsForTest() - scans,
+              source == untouched ? 0u : 1u);
+    auto direct = Predictor(options.predictor)
+                      .PredictRuntime(request.algorithm, **child,
+                                      request.dataset);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(DeterministicContent(retried), DeterministicContent(direct));
+  }
+}
+
+// A chain of versions through one service fanning out over two threads:
+// periphery, periphery, core, periphery. Each periphery version keeps its
+// parent's sample (no scan at all), the core version re-walks, and every
+// report matches an uncached Predictor. The walk state stays one.
+TEST(ServiceStalenessTest, KeptSamplesFollowAChainOfVersions) {
+  PredictionServiceOptions options = IncrementalServiceOptions();
+  options.num_threads = 2;
+  EvolvingGraph evolving(TestGraph(4000, 89));
   PredictionService service(options);
-  PredictionRequest request;
-  request.algorithm = "connected_components";
-  request.dataset = "ds";
+  Predictor predictor(options.predictor);
 
-  auto parent = evolving.Current();
-  ASSERT_TRUE(parent.ok());
-  request.graph = *parent;
-  ASSERT_TRUE(service.Predict(request).ok());
+  // A vertex pair off `version`'s walk, or a vertex on it.
+  const auto pick = [&](const Graph& version, bool on_walk) {
+    SampleWalkRecord record;
+    EXPECT_TRUE(
+        SampleGraphRecorded(version, options.predictor.sampler, &record).ok());
+    EXPECT_EQ(record.fill_picks, 0u);
+    std::vector<VertexId> picked;
+    for (VertexId v = 0; v < version.num_vertices() && picked.size() < 2;
+         ++v) {
+      if ((record.touched[v] != 0) == on_walk) picked.push_back(v);
+    }
+    EXPECT_EQ(picked.size(), 2u);
+    return picked;
+  };
+  const auto predict = [&](const Graph& version) {
+    std::vector<PredictionRequest> requests;
+    for (const char* algorithm : {"connected_components", "topk_ranking"}) {
+      PredictionRequest request;
+      request.algorithm = algorithm;
+      request.graph = &version;
+      request.dataset = "ds";
+      requests.push_back(std::move(request));
+    }
+    const uint64_t scans = Graph::FingerprintComputationsForTest();
+    const auto reports = service.PredictBatch(requests);
+    const uint64_t scanned = Graph::FingerprintComputationsForTest() - scans;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(DeterministicContent(reports[i]),
+                DeterministicContent(predictor.PredictRuntime(
+                    requests[i].algorithm, version, requests[i].dataset)))
+          << requests[i].algorithm;
+    }
+    return scanned;
+  };
 
-  ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(3, 17)}).ok());
-  auto child = evolving.Current();
-  ASSERT_TRUE(child.ok());
-  request.graph = *child;
-  ASSERT_TRUE(fail::Configure("sample.walk", "once").ok());
-  auto failed = service.Predict(request);
-  fail::DisableAll();
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(service.cache_stats().incremental_sample_updates, 0u);
-
-  auto retried = service.Predict(request);
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_EQ(service.cache_stats().incremental_sample_updates, 1u);
-  auto direct = Predictor(options.predictor)
-                    .PredictRuntime(request.algorithm, **child,
-                                    request.dataset);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(DeterministicContent(retried), DeterministicContent(direct));
+  predict(**evolving.Current());
+  std::vector<VertexId> periphery = pick(**evolving.Current(), false);
+  for (const bool core : {false, false, true, false}) {
+    SCOPED_TRACE(core ? "core version" : "periphery version");
+    const VertexId src = core ? pick(**evolving.Current(), true)[0]
+                              : periphery[0];
+    ASSERT_TRUE(evolving.Apply({EdgeDelta::Insert(src, periphery[1])}).ok());
+    const Graph& version = **evolving.Current();
+    const uint64_t scanned = predict(version);
+    if (core) {
+      periphery = pick(version, false);
+    } else {
+      EXPECT_EQ(scanned, 0u);
+    }
+  }
+  const ServiceCacheStats stats = service.cache_stats();
+  EXPECT_EQ(stats.sample_misses, 5u);
+  EXPECT_EQ(stats.incremental_sample_updates, 4u);
+  EXPECT_EQ(service.ClearCaches().incremental_states, 1u);
 }
 
 TEST(ServiceStalenessTest, ClearCachesReportsEvictions) {
