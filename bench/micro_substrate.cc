@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 
 #include <cstdint>
@@ -316,11 +317,37 @@ void BM_ForwardSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardSelection)->Unit(benchmark::kMicrosecond);
 
-// Building the next version from a churn batch of Arg()% of |E|.
+// A batch shaped like a periphery update of a churn stream: two inserts
+// and two deletes, each on a row of its own, so |E| stays put.
+EdgeDeltaBatch PeripheryBatch(const Graph& graph) {
+  Rng rng(7);
+  const uint64_t n = graph.num_vertices();
+  std::vector<VertexId> rows;
+  EdgeDeltaBatch batch;
+  while (batch.size() < 4) {
+    const VertexId v = static_cast<VertexId>(rng.Uniform(n));
+    if (std::find(rows.begin(), rows.end(), v) != rows.end()) continue;
+    if (batch.size() < 2) {
+      batch.push_back(
+          EdgeDelta::Insert(v, static_cast<VertexId>(rng.Uniform(n))));
+    } else if (graph.out_degree(v) != 0) {
+      batch.push_back(EdgeDelta::Delete(v, graph.out_neighbors(v)[0]));
+    } else {
+      continue;
+    }
+    rows.push_back(v);
+  }
+  return batch;
+}
+
+// Building the next version from a churn batch of Arg()% of |E|, or for
+// Arg(0) from a periphery-shaped batch of four operations.
 void BM_DeltaApply(benchmark::State& state) {
+  const Graph base = EvolvingGraph::Canonicalize(BenchGraph());
   const double fraction = static_cast<double>(state.range(0)) / 100.0;
-  auto batch = GenerateChurn(EvolvingGraph::Canonicalize(BenchGraph()),
-                             {.fraction = fraction, .seed = 7});
+  auto batch = state.range(0) == 0
+                   ? Result<EdgeDeltaBatch>(PeripheryBatch(base))
+                   : GenerateChurn(base, {.fraction = fraction, .seed = 7});
   if (!batch.ok()) {
     state.SkipWithError("churn generation failed");
     return;
@@ -334,7 +361,8 @@ void BM_DeltaApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(BenchGraph().num_edges()));
 }
-BENCHMARK(BM_DeltaApply)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeltaApply)->Arg(0)->Arg(1)->Arg(10)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -48,53 +47,68 @@ uint64_t CountNonUnitWeights(std::span<const float> weights) {
       weights.begin(), weights.end(), [](float w) { return w != 1.0f; }));
 }
 
-// A fresh CSR offset array: the base's offsets, shifted past each
-// replaced row by that row's degree change. `rows` ascending; row i's
-// replacement holds row_offsets[i+1] - row_offsets[i] entries.
-std::vector<uint64_t> SpliceOffsets(std::span<const uint64_t> base,
-                                    const std::vector<VertexId>& rows,
-                                    const std::vector<uint64_t>& row_offsets) {
-  std::vector<uint64_t> out(base.size());
-  uint64_t shift = 0;  // modular: a shrinking row wraps, the sum is exact
-  uint64_t v = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (; v <= rows[i]; ++v) out[v] = base[v] + shift;
-    shift += (row_offsets[i + 1] - row_offsets[i]) -
-             (base[rows[i] + 1] - base[rows[i]]);
-  }
-  for (; v < base.size(); ++v) out[v] = base[v] + shift;
-  return out;
-}
-
-// A fresh CSR value array of `total` entries: the base's clean row
-// ranges bulk-copied (or, for an empty `base`, filled with `fill`), with
-// each replaced row's values spliced in place of its old ones.
-template <typename T>
-std::vector<T> SpliceValues(std::span<const uint64_t> base_offsets,
-                            std::span<const T> base, T fill,
-                            const std::vector<VertexId>& rows,
-                            const std::vector<uint64_t>& row_offsets,
-                            const std::vector<T>& row_values,
-                            uint64_t total) {
-  std::vector<T> out;
-  out.reserve(total);
-  uint64_t next = 0;  // first base slot not yet emitted
-  const auto copy_clean = [&](uint64_t end) {
-    if (base.empty()) {
-      out.insert(out.end(), end - next, fill);
-    } else {
-      out.insert(out.end(), base.begin() + next, base.begin() + end);
-    }
+// Splices replaced rows into one CSR side in place. `rows` ascending;
+// row i's new entries are [row_offsets[i], row_offsets[i+1]) of
+// `row_ids` and, when `weights` is non-null, of `row_weights`; the
+// arrays' capacity must already hold the new size. Only the clean ranges
+// whose offsets shift move: right shifts right to left, then left shifts
+// left to right, so a range lands only on its own old slots, on replaced
+// rows' slots or on slots a range already left.
+void SpliceSide(std::vector<uint64_t>& offsets, std::span<const VertexId> rows,
+                std::span<const uint64_t> row_offsets,
+                std::vector<VertexId>& ids, std::span<const VertexId> row_ids,
+                std::vector<float>* weights,
+                std::span<const float> row_weights) {
+  const size_t n = rows.size();
+  // Replaced row i's size change, from the old offsets.
+  const auto change = [&](size_t i) {
+    return static_cast<int64_t>(row_offsets[i + 1] - row_offsets[i]) -
+           static_cast<int64_t>(offsets[rows[i] + 1] - offsets[rows[i]]);
   };
-  for (size_t i = 0; i < rows.size(); ++i) {
-    copy_clean(base_offsets[rows[i]]);
-    out.insert(out.end(), row_values.begin() + row_offsets[i],
-               row_values.begin() + row_offsets[i + 1]);
-    next = base_offsets[rows[i] + 1];
+  int64_t total = 0;
+  for (size_t i = 0; i < n; ++i) total += change(i);
+  const uint64_t old_size = offsets.back();
+  const auto splice = [&](auto& values, auto row_values) {
+    constexpr size_t kBytes = sizeof(values[0]);
+    values.resize(std::max<uint64_t>(old_size, old_size + total));
+    const auto move_range = [&](size_t i, int64_t shift) {  // after row i
+      const uint64_t begin = offsets[rows[i] + 1];
+      const uint64_t end = i + 1 < n ? offsets[rows[i + 1]] : old_size;
+      if (begin == end) return;  // memmove needs non-null pointers
+      std::memmove(values.data() + begin + shift, values.data() + begin,
+                   (end - begin) * kBytes);
+    };
+    int64_t shift = total;
+    for (size_t i = n; i-- > 0; shift -= change(i)) {
+      if (shift > 0) move_range(i, shift);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      shift += change(i);
+      if (shift < 0) move_range(i, shift);
+    }
+    // Row i lands at its old start plus the size change of the rows
+    // before it.
+    shift = 0;
+    for (size_t i = 0; i < n; shift += change(i++)) {
+      const uint64_t count = row_offsets[i + 1] - row_offsets[i];
+      if (count == 0) continue;  // memcpy needs non-null pointers
+      std::memcpy(values.data() + offsets[rows[i]] + shift,
+                  row_values.data() + row_offsets[i], count * kBytes);
+    }
+    values.resize(old_size + total);
+  };
+  splice(ids, row_ids);
+  if (weights != nullptr) splice(*weights, row_weights);
+  // Back to front, so change(i) still reads row i's old offsets.
+  int64_t shift = total;
+  for (size_t i = n; i-- > 0;) {
+    const int64_t row_change = change(i);
+    const uint64_t last = i + 1 < n ? rows[i + 1] : offsets.size() - 1;
+    for (uint64_t v = rows[i] + uint64_t{1}; shift != 0 && v <= last; ++v) {
+      offsets[v] += shift;
+    }
+    shift -= row_change;
   }
-  copy_clean(base_offsets.back());
-  assert(out.size() == total);
-  return out;
 }
 
 Status OffendingEdge(const char* what, VertexId src, VertexId dst) {
@@ -103,46 +117,21 @@ Status OffendingEdge(const char* what, VertexId src, VertexId dst) {
                                  std::to_string(dst) + ")");
 }
 
-// Assembles a canonical Graph from per-vertex (dst, weight) rows already
-// in canonical order: builds the out CSR, derives the in CSR by a
-// counting sort over targets in (src asc, slot) order — the same
-// convention GraphBuilder and the CSR-native transforms use.
-Graph GraphFromCanonicalRows(uint64_t v_count,
-                             std::vector<uint64_t> out_offsets,
-                             std::vector<VertexId> out_targets,
-                             std::vector<float> out_weights) {
-  const uint64_t e_count = out_targets.size();
-  const bool weighted =
-      std::any_of(out_weights.begin(), out_weights.end(),
-                  [](float w) { return w != 1.0f; });
-  if (!weighted) out_weights.clear();
-
-  std::vector<uint64_t> in_offsets(v_count + 1, 0);
-  for (const VertexId t : out_targets) in_offsets[t + 1]++;
-  for (uint64_t v = 0; v < v_count; ++v) in_offsets[v + 1] += in_offsets[v];
-  std::vector<VertexId> in_sources(e_count);
-  std::vector<uint64_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
-  for (uint64_t v = 0; v < v_count; ++v) {
-    for (uint64_t s = out_offsets[v]; s < out_offsets[v + 1]; ++s) {
-      in_sources[cursor[out_targets[s]]++] = static_cast<VertexId>(v);
-    }
-  }
-  return Graph::FromCsr(std::move(out_offsets), std::move(out_targets),
-                        std::move(out_weights), std::move(in_offsets),
-                        std::move(in_sources));
-}
-
 }  // namespace
 
+// Out-rows sorted by (dst, weight bits); in-rows rebuilt by a counting
+// sort over targets in (src asc, slot) order, the convention GraphBuilder
+// and the CSR-native transforms use.
 Graph EvolvingGraph::Canonicalize(Graph g) {
   g = Graph::WithPlainEdges(std::move(g));
   const uint64_t v_count = g.num_vertices();
+  const uint64_t e_count = g.num_edges();
   if (v_count == 0) return g;
 
   std::vector<uint64_t> out_offsets(g.out_offsets().begin(),
                                     g.out_offsets().end());
-  std::vector<VertexId> out_targets(g.num_edges());
-  std::vector<float> out_weights(g.num_edges(), 1.0f);
+  std::vector<VertexId> out_targets(e_count);
+  std::vector<float> out_weights(e_count, 1.0f);
   std::vector<std::pair<VertexId, float>> row;
   for (uint64_t v = 0; v < v_count; ++v) {
     const auto targets = g.out_neighbors(static_cast<VertexId>(v));
@@ -157,13 +146,23 @@ Graph EvolvingGraph::Canonicalize(Graph g) {
     uint64_t slot = out_offsets[v];
     for (const auto& [dst, w] : row) {
       out_targets[slot] = dst;
-      out_weights[slot] = w;
-      ++slot;
+      out_weights[slot++] = w;
     }
   }
-  return GraphFromCanonicalRows(v_count, std::move(out_offsets),
-                                std::move(out_targets),
-                                std::move(out_weights));
+  if (CountNonUnitWeights(out_weights) == 0) out_weights.clear();
+
+  std::vector<uint64_t> in_offsets(g.in_offsets().begin(),  // same degrees
+                                   g.in_offsets().end());
+  std::vector<VertexId> in_sources(e_count);
+  std::vector<uint64_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
+  for (uint64_t v = 0; v < v_count; ++v) {
+    for (uint64_t s = out_offsets[v]; s < out_offsets[v + 1]; ++s) {
+      in_sources[cursor[out_targets[s]]++] = static_cast<VertexId>(v);
+    }
+  }
+  return Graph::FromCsr(std::move(out_offsets), std::move(out_targets),
+                        std::move(out_weights), std::move(in_offsets),
+                        std::move(in_sources));
 }
 
 EvolvingGraph::EvolvingGraph(Graph base)
@@ -184,9 +183,9 @@ Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
     }
   }
 
-  // Everything below builds the next version off to the side; the
-  // members are not touched until the very end, so any error leaves the
-  // current version as it was.
+  // Steps 1 and 2 work off to the side, and every check, the fail point
+  // and every allocation come before step 3 writes its first byte, so
+  // any error leaves the current version as it was.
   //
   // 1. Visit the touched out-rows in ascending order and replay each
   // one's operations, in batch order, on a copy of the row. Keep the
@@ -314,37 +313,7 @@ Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
     in_row_offsets.push_back(in_row_sources.size());
   }
 
-  // 3. Splice: bulk-copy the clean row ranges of the current arrays
-  // around the replaced rows, then derive the fingerprint from the
-  // current one by swapping only the dirty rows' terms.
-  std::optional<Graph> next;
-  uint64_t fingerprint_sum = fingerprint_sum_;
-  if (!dirty.empty()) {
-    std::vector<float> out_weights;
-    if (non_unit_weights != 0) {
-      out_weights = SpliceValues(current_.out_offsets(),
-                                 current_.out_weights(), 1.0f, dirty,
-                                 row_offsets, row_weights, e_count);
-    }
-    next = Graph::FromCsr(
-        SpliceOffsets(current_.out_offsets(), dirty, row_offsets),
-        SpliceValues(current_.out_offsets(), current_.out_targets(),
-                     VertexId{0}, dirty, row_offsets, row_targets, e_count),
-        std::move(out_weights),
-        SpliceOffsets(current_.in_offsets(), in_rows, in_row_offsets),
-        SpliceValues(current_.in_offsets(), current_.in_sources(),
-                     VertexId{0}, in_rows, in_row_offsets, in_row_sources,
-                     e_count));
-    for (const VertexId v : dirty) {
-      fingerprint_sum += next->OutRowHash(v) - current_.OutRowHash(v);
-    }
-    next->StampVersion(fingerprint_sum,
-                       std::make_shared<const GraphLineage>(GraphLineage{
-                           current_.Fingerprint(), std::move(dirty)}));
-  }
-
-  // The fault point sits between building and installing: an injected
-  // fault can never leave a half-built version visible.
+  // The fault point: after every check, before step 3 allocates or writes.
   {
     const Status faulted = [&]() -> Status {
       PREDICT_FAIL_POINT("graph.compact");
@@ -352,14 +321,44 @@ Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
     }();
     if (!faulted.ok()) return StatusAnnotate(faulted, "graph_compact");
   }
-
   // A batch that changes no row keeps the current version (and its
   // lineage).
-  if (next.has_value()) {
-    current_ = std::move(*next);
-    fingerprint_sum_ = fingerprint_sum;
-    non_unit_weights_ = non_unit_weights;
+  if (dirty.empty()) return Status::OK();
+
+  // 3. Splice the next version into current_'s own arrays. First every
+  // allocation (geometric capacity for the arrays that grow, so a growing
+  // stream copies |E| O(log E) times) and the old fingerprint terms.
+  Graph& g = current_;
+  const bool weighted = non_unit_weights != 0;
+  const uint64_t slots = std::max(g.num_edges(), e_count);
+  const auto reserve = [slots](auto& v) {
+    if (v.capacity() < slots) v.reserve(std::max(slots, 2 * v.capacity()));
+  };
+  reserve(g.out_targets_);
+  reserve(g.in_sources_);
+  if (weighted) reserve(g.out_weights_);
+  auto lineage = std::make_shared<const GraphLineage>(
+      GraphLineage{g.Fingerprint(), std::move(dirty)});
+  const std::vector<VertexId>& rows = lineage->dirty;
+  uint64_t fingerprint_sum = fingerprint_sum_;
+  for (const VertexId v : rows) fingerprint_sum -= g.OutRowHash(v);
+
+  // Nothing below allocates or fails. A graph turning weighted fills
+  // its old weights with 1.0 first, O(E).
+  if (!weighted) {
+    g.out_weights_ = std::vector<float>();
+  } else if (!g.is_weighted_) {
+    g.out_weights_.assign(g.num_edges(), 1.0f);
   }
+  g.is_weighted_ = weighted;
+  SpliceSide(g.out_offsets_, rows, row_offsets, g.out_targets_, row_targets,
+             weighted ? &g.out_weights_ : nullptr, row_weights);
+  SpliceSide(g.in_offsets_, in_rows, in_row_offsets, g.in_sources_,
+             in_row_sources, nullptr, {});
+  for (const VertexId v : rows) fingerprint_sum += g.OutRowHash(v);
+  g.StampVersion(fingerprint_sum, std::move(lineage));
+  fingerprint_sum_ = fingerprint_sum;
+  non_unit_weights_ = non_unit_weights;
   return Status::OK();
 }
 

@@ -1,17 +1,18 @@
-// Evolving graphs: a chain of immutable canonical CSR versions.
+// Evolving graphs: a chain of canonical CSR versions.
 //
 // PREDIcT's pipeline assumes a frozen input graph, but production graphs
 // churn between predictions. EvolvingGraph holds the current version of
-// a churning graph as a plain canonical Graph, and Apply(batch) builds
-// the next version and installs it. Every reader (algorithms, samplers,
+// a churning graph as a plain canonical Graph, and Apply(batch) turns
+// it into the next version. Every reader (algorithms, samplers,
 // transforms, the prediction service) reads an ordinary CSR.
 //
-// O(changed rows) per version. Apply replays the batch on copies of the
-// touched out-rows, then splices: it bulk-copies every clean row range
-// of the current out- and in-arrays and merges only the changed
-// out-rows and the in-rows of the targets whose multiplicity they
-// change. Each version leaves with two things no later consumer has to
-// recompute from the whole graph:
+// A version costs its replayed rows plus the row ranges whose offsets
+// shift. Apply replays the batch on copies of the touched out-rows and
+// rebuilds the in-rows they change, then splices them into the current
+// arrays in place, moving only the clean ranges whose offsets shift.
+// Capacity grows geometrically, so nothing is allocated while |E| fits
+// (a weightedness flip costs O(E)). Each version leaves with two things
+// no later consumer has to recompute from the whole graph:
 //   - its Graph::Fingerprint(), derived from the parent's by swapping
 //     the changed rows' terms of the row-hash sum (the first version's
 //     is computed once, at construction);
@@ -38,7 +39,7 @@
 // Failure semantics: Apply is all or nothing. An unknown vertex, or a
 // delete with no (src, dst) edge left to remove, is an InvalidArgument
 // carrying the offending (src, dst). The fail point "graph.compact" sits
-// between building the version and installing it; an injected fault
+// after every check, before the splice allocates or writes; a fault
 // there is returned annotated "graph_compact". Either way the current
 // version, its Fingerprint() and its lineage() are unchanged, and
 // retrying the batch reaches the version an unfaulted graph reaches.
@@ -81,11 +82,11 @@ struct EdgeDelta {
 
 using EdgeDeltaBatch = std::vector<EdgeDelta>;
 
-/// \brief A mutable graph: the current version of a chain of immutable
-/// canonical CSRs, one per successful Apply (see file comment).
+/// \brief A mutable graph: the current version of a chain of canonical
+/// CSRs, one per successful Apply (see file comment).
 ///
 /// Not thread-safe for mutation; a version read through Current() is a
-/// plain Graph, safe to read concurrently.
+/// plain Graph, safe to read concurrently until the next Apply.
 class EvolvingGraph {
  public:
   /// Adopts `base` as the first version, normalizing it to canonical
@@ -98,16 +99,16 @@ class EvolvingGraph {
   /// |E| of the current version.
   uint64_t num_edges() const { return current_.num_edges(); }
 
-  /// Builds the next version from `batch` and installs it, stamping its
-  /// fingerprint and lineage (see file comment). A batch that changes no
-  /// row keeps the current version and its lineage. All or nothing: on a
-  /// validation error (InvalidArgument carrying the offending (src,
-  /// dst)) or a fault injected at "graph.compact", the current version
-  /// is unchanged.
+  /// Splices the next version from `batch` into the current one in place
+  /// (cost: the replayed rows plus the shifted ranges, no allocation while
+  /// |E| fits), stamping its fingerprint and lineage. A batch that changes
+  /// no row keeps the current version and its lineage. All or nothing: on
+  /// a validation error (InvalidArgument carrying the offending (src,
+  /// dst)) or a fault injected at "graph.compact", nothing changes.
   Status Apply(const EdgeDeltaBatch& batch);
 
-  /// The current version. Never fails; the pointee is replaced by the
-  /// next successful Apply.
+  /// The current version, always at this address. Never fails; the next
+  /// successful Apply rewrites it, so spans into it become invalid.
   Result<const Graph*> Current() { return &current_; }
 
   /// Normalizes a graph to the canonical form EvolvingGraph uses: plain

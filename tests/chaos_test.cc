@@ -684,27 +684,53 @@ class ChaosDeltaCompactionTest : public ::testing::Test {
   void TearDown() override { fail::DisableAll(); }
 };
 
+// Every byte of a version's five CSR arrays, then its weightedness and
+// |E|: what a faulted Apply must leave as it was.
+std::string CsrBytes(const Graph& g) {
+  std::string bytes;
+  const auto append = [&](auto values) {
+    if (!values.empty()) {
+      bytes.append(reinterpret_cast<const char*>(values.data()),
+                   values.size_bytes());
+    }
+  };
+  append(g.out_offsets());
+  append(g.out_targets());
+  append(g.out_weights());
+  append(g.in_offsets());
+  append(g.in_sources());
+  return bytes + (g.is_weighted() ? " weighted " : " unweighted ") +
+         std::to_string(g.num_edges());
+}
+
 TEST_F(ChaosDeltaCompactionTest, ExplicitCompactFaultIsStrongExceptionSafe) {
   EvolvingGraph g(TestGraph(200, 43));
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(5, 6)}).ok());  // has a lineage
   EvolvingGraph unfaulted = g;
-  const EdgeDeltaBatch batch = {EdgeDelta::Insert(0, 7),
-                                EdgeDelta::Insert(3, 9)};
+  // Valid work on lower rows before the fault: row 0 grows and turns
+  // the graph weighted, row 3 grows, row 5 shrinks.
+  const EdgeDeltaBatch batch = {EdgeDelta::Insert(0, 7, 2.5f),
+                                EdgeDelta::Insert(3, 9),
+                                EdgeDelta::Delete(5, 6)};
   const Graph& version = **g.Current();
   const uint64_t fp = version.Fingerprint();
   const GraphLineage* lineage = version.lineage();
   const std::vector<Edge> before = version.ToEdgeList();
+  const std::string bytes = CsrBytes(version);
   ASSERT_NE(lineage, nullptr);
+  ASSERT_FALSE(version.is_weighted());
 
   ASSERT_TRUE(fail::Configure("graph.compact", "once").ok());
   const Status faulted = g.Apply(batch);
   EXPECT_FALSE(faulted.ok());
   EXPECT_NE(faulted.message().find("graph_compact"), std::string::npos)
       << faulted.message();
-  // Nothing changed: same version, same lineage, same edges.
+  // Nothing changed: same version, same lineage, same edges, same bytes.
   EXPECT_EQ((*g.Current())->Fingerprint(), fp);
   EXPECT_EQ((*g.Current())->lineage(), lineage);
   EXPECT_EQ((*g.Current())->ToEdgeList(), before);
+  EXPECT_EQ(CsrBytes(**g.Current()), bytes);
+  EXPECT_EQ(g.num_edges(), unfaulted.num_edges());
 
   // The retry (fail point consumed) reaches the version an unfaulted
   // graph reaches.

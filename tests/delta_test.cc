@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -44,6 +46,25 @@ Graph RandomGraph(VertexId n, uint64_t num_edges, uint64_t seed,
 
 // The current version of `g`.
 const Graph& Version(EvolvingGraph& g) { return **g.Current(); }
+
+// Every byte of a version's five CSR arrays, then its weightedness and
+// |E|: what a failed Apply must leave as it was.
+std::string CsrBytes(const Graph& g) {
+  std::string bytes;
+  const auto append = [&](auto values) {
+    if (!values.empty()) {
+      bytes.append(reinterpret_cast<const char*>(values.data()),
+                   values.size_bytes());
+    }
+  };
+  append(g.out_offsets());
+  append(g.out_targets());
+  append(g.out_weights());
+  append(g.in_offsets());
+  append(g.in_sources());
+  return bytes + (g.is_weighted() ? " weighted " : " unweighted ") +
+         std::to_string(g.num_edges());
+}
 
 // ------------------------------------------------------------ canonical
 
@@ -164,6 +185,65 @@ TEST(DeltaApplyTest, SameOperationsReachTheSameVersionHoweverBatched) {
   }
 }
 
+// A batch that grows row a by one edge and shrinks row b > a by one is
+// spliced into the version's own arrays: none of them moves to new
+// memory, only the out-offsets in (a, b] shift, and on the in side only
+// those between the inserted and the deleted edge's target.
+TEST(DeltaApplyTest, NetZeroBatchSplicesInPlace) {
+  EvolvingGraph g(RandomGraph(64, 400, 21, /*weighted=*/true));
+  const Graph& version = Version(g);
+  const auto addresses = [](const Graph& v) {
+    return std::vector<const void*>{
+        v.out_offsets().data(), v.out_targets().data(),
+        v.out_weights().data(), v.in_offsets().data(),
+        v.in_sources().data()};
+  };
+  const std::vector<const void*> before = addresses(version);
+  const std::vector<uint64_t> out_before(version.out_offsets().begin(),
+                                         version.out_offsets().end());
+  const std::vector<uint64_t> in_before(version.in_offsets().begin(),
+                                        version.in_offsets().end());
+  constexpr VertexId kA = 10;
+  constexpr VertexId kB = 50;
+  constexpr VertexId kInserted = 5;
+  ASSERT_GT(version.out_degree(kB), 0u);
+  const VertexId deleted = version.out_neighbors(kB).back();
+  ASSERT_GT(deleted, kInserted);
+
+  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(kA, kInserted, 2.0f),
+                       EdgeDelta::Delete(kB, deleted)})
+                  .ok());
+  ASSERT_NE(Version(g).lineage(), nullptr);
+  EXPECT_EQ(addresses(Version(g)), before);
+  for (VertexId v = 0; v <= 64; ++v) {
+    const bool out_shifts = v > kA && v <= kB;
+    EXPECT_EQ(Version(g).out_offsets()[v], out_before[v] + out_shifts) << v;
+    const bool in_shifts = v > kInserted && v <= deleted;
+    EXPECT_EQ(Version(g).in_offsets()[v], in_before[v] + in_shifts) << v;
+  }
+}
+
+// A stream of single-edge inserts grows the arrays geometrically: each
+// growth reallocates, so an exact-size reserve would copy all of |E|
+// for every version.
+TEST(DeltaApplyTest, GrowingStreamReallocatesLogarithmically) {
+  constexpr int kInserts = 1024;
+  EvolvingGraph g(MakeChain(64));
+  Rng rng(29);
+  int reallocations = 0;
+  const VertexId* targets = Version(g).out_targets().data();
+  for (int i = 0; i < kInserts; ++i) {
+    ASSERT_TRUE(g.Apply({EdgeDelta::Insert(
+                             static_cast<VertexId>(rng.Uniform(64)),
+                             static_cast<VertexId>(rng.Uniform(64)))})
+                    .ok());
+    reallocations += Version(g).out_targets().data() != targets;
+    targets = Version(g).out_targets().data();
+  }
+  EXPECT_EQ(g.num_edges(), 63u + kInserts);
+  EXPECT_LE(reallocations, std::bit_width(unsigned{kInserts}));
+}
+
 // ---------------------------------------------------------- validation
 
 TEST(DeltaValidationTest, RejectsUnknownVertex) {
@@ -190,19 +270,23 @@ TEST(DeltaValidationTest, RejectsOverDeleteWithinOneBatch) {
 }
 
 TEST(DeltaValidationTest, FailedBatchLeavesGraphUnchanged) {
-  EvolvingGraph g(MakeChain(3));
-  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(2, 0)}).ok());
+  EvolvingGraph g(MakeChain(4));
+  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(3, 0, 2.5f)}).ok());
   const uint64_t fp = Version(g).Fingerprint();
   const GraphLineage* lineage = Version(g).lineage();
   const std::vector<Edge> edges = Version(g).ToEdgeList();
-  // Valid prefix, invalid tail: nothing may stick.
-  const Status s =
-      g.Apply({EdgeDelta::Insert(0, 2), EdgeDelta::Delete(2, 1)});
+  const std::string bytes = CsrBytes(Version(g));
+  // Valid operations on lower rows (one grows row 0, one empties row
+  // 1), then a delete of a missing edge: nothing may stick.
+  const Status s = g.Apply({EdgeDelta::Insert(0, 2, 1.5f),
+                            EdgeDelta::Delete(1, 2), EdgeDelta::Delete(2, 1)});
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_EQ(Version(g).Fingerprint(), fp);
   EXPECT_EQ(Version(g).lineage(), lineage);
   EXPECT_EQ(Version(g).ToEdgeList(), edges);
-  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(CsrBytes(Version(g)), bytes);
+  EXPECT_TRUE(Version(g).is_weighted());
+  EXPECT_EQ(g.num_edges(), 4u);
 }
 
 TEST(DeltaValidationTest, NetDeltaValidationAllowsDeleteOfBatchInsert) {

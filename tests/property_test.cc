@@ -236,6 +236,44 @@ bool SameBytes(std::span<const T> a, std::span<const T> b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
+// Out-rows 0 (+1), a (-2), b (+2), c (-2) and |V|-1 (+1), with
+// 0 < a < b < c < |V|-1, so the clean out-ranges between them shift
+// right and left in turn within one Apply. The inserts land in in-row 0
+// (from b twice and from |V|-1) and in-row |V|-1 (from 0), and the
+// deletes leave in-rows in between, so the in side shifts both ways
+// too. An empty batch when the model has no such a and c.
+EdgeDeltaBatch ShiftBothWaysBatch(const std::vector<Edge>& edges,
+                                  uint64_t num_vertices, Rng& rng) {
+  const VertexId last = static_cast<VertexId>(num_vertices - 1);
+  std::vector<uint64_t> degree(num_vertices, 0);
+  for (const Edge& e : edges) ++degree[e.src];
+  std::vector<VertexId> low;   // candidates for a
+  std::vector<VertexId> high;  // candidates for c
+  for (VertexId v = 1; v < last; ++v) {
+    if (degree[v] < 2) continue;
+    (v < num_vertices / 2 ? low : high).push_back(v);
+  }
+  if (low.empty() || high.empty()) return {};
+  const VertexId a = low[rng.Uniform(low.size())];
+  const VertexId c = high[rng.Uniform(high.size())];
+  if (c - a < 2) return {};
+  const VertexId b = a + 1 + static_cast<VertexId>(rng.Uniform(c - a - 1));
+  // The first two out-edges of `src` in the model, deleted.
+  const auto delete_two = [&](VertexId src, EdgeDeltaBatch* batch) {
+    const auto it = std::find_if(edges.begin(), edges.end(),
+                                 [&](const Edge& e) { return e.src == src; });
+    batch->push_back(EdgeDelta::Delete(src, it[0].dst));
+    batch->push_back(EdgeDelta::Delete(src, it[1].dst));
+  };
+  EdgeDeltaBatch batch{EdgeDelta::Insert(0, last)};
+  delete_two(a, &batch);
+  batch.push_back(EdgeDelta::Insert(b, 0));
+  batch.push_back(EdgeDelta::Insert(b, 0));
+  delete_two(c, &batch);
+  batch.push_back(EdgeDelta::Insert(last, 0));
+  return batch;
+}
+
 // A batch steering the walk through the corner cases of splice
 // compaction, by `kind`: 10 a weighted insert (the first one flips an
 // unweighted graph to weighted), 11 two parallel copies of a present
@@ -243,8 +281,9 @@ bool SameBytes(std::span<const T> a, std::span<const T> b) {
 // weight other than 1.0 (the last one flips the graph back to
 // unweighted), 13 deleting a whole row, leaving it at degree 0, 14
 // deleting a present edge and re-inserting it, so its row nets out
-// (unless a parallel copy has lower weight bits). `edges` is the
-// model of the current version.
+// (unless a parallel copy has lower weight bits), 15 rows that grow and
+// shrink in turn (see ShiftBothWaysBatch). `edges` is the model of the
+// current version.
 EdgeDeltaBatch CornerCaseBatch(const std::vector<Edge>& edges,
                                uint64_t num_vertices, uint64_t kind,
                                Rng& rng) {
@@ -279,12 +318,27 @@ EdgeDeltaBatch CornerCaseBatch(const std::vector<Edge>& edges,
     for (const Edge& e : edges) {
       if (e.src == src) batch.push_back(EdgeDelta::Delete(e.src, e.dst));
     }
+  } else if (kind == 15) {
+    batch = ShiftBothWaysBatch(edges, num_vertices, rng);
   } else if (!edges.empty()) {
     const Edge& e = edges[rng.Uniform(edges.size())];
     batch.push_back(EdgeDelta::Delete(e.src, e.dst));
     batch.push_back(EdgeDelta::Insert(e.src, e.dst, e.weight));
   }
   return batch;
+}
+
+// Whether some offset moved right and some moved left between two CSR
+// offset arrays of one side.
+bool ShiftedBothWays(std::span<const uint64_t> before,
+                     std::span<const uint64_t> after) {
+  bool right = false;
+  bool left = false;
+  for (size_t v = 0; v < before.size(); ++v) {
+    right |= after[v] > before[v];
+    left |= after[v] < before[v];
+  }
+  return right && left;
 }
 
 // The version-fingerprint contract: across ANY sequence of insert and
@@ -315,6 +369,7 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   int dirty_rows_with_self_loops = 0;
   int dirty_rows_emptied = 0;
   int weight_choices = 0;
+  int shifted_both_ways = 0;  // on the out side and the in side
   // `version` is `parent` or a version built from it.
   const auto expect_derived = [&](const Graph& parent, const Graph& version) {
     const std::vector<VertexId> dirty = DirtyOutVertices(parent, version);
@@ -354,8 +409,8 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
 
   // Each walk opens with the corner cases in an order that reaches both
   // weightedness flips (insert a weight, then delete it), then continues
-  // at random: kinds 1-5 insert, 6-9 delete, 10-14 are corner cases.
-  constexpr uint64_t kOpening[] = {10, 12, 11, 13, 14};
+  // at random: kinds 1-5 insert, 6-9 delete, 10-15 are corner cases.
+  constexpr uint64_t kOpening[] = {10, 12, 11, 13, 14, 15};
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     EvolvingGraph g(base);
     std::vector<Edge> model = base.ToEdgeList();
@@ -363,7 +418,7 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
     Rng rng(seed * 977);
     for (size_t step = 0; step < 25; ++step) {
       const uint64_t kind = step < std::size(kOpening) ? kOpening[step]
-                                                       : 1 + rng.Uniform(14);
+                                                       : 1 + rng.Uniform(15);
       EdgeDeltaBatch batch;
       if (kind >= 10) {
         batch = CornerCaseBatch(model, g.num_vertices(), kind, rng);
@@ -389,6 +444,9 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
       const Graph& version = **g.Current();
       expect_derived(parent, version);
       expect_matches_cold(version, model);
+      shifted_both_ways +=
+          ShiftedBothWays(parent.out_offsets(), version.out_offsets()) &&
+          ShiftedBothWays(parent.in_offsets(), version.in_offsets());
       snapshots.push_back({model, version.Fingerprint()});
     }
   }
@@ -398,6 +456,7 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
   EXPECT_GT(dirty_rows_with_self_loops, 0);
   EXPECT_GT(dirty_rows_emptied, 0);
   EXPECT_GT(weight_choices, 0);
+  EXPECT_GT(shifted_both_ways, 0);
 
   int equal_pairs = 0;
   for (size_t i = 0; i < snapshots.size(); ++i) {
