@@ -8,7 +8,7 @@
 // (bsp/scenario.h): the paper deployment, a 10-worker slice, a straggler
 // cluster, a 64-worker fast-network build-out, or an edge-balanced
 // layout. PREDIcT answers the what-if question from ONE 10% sample per
-// job — Predictor::PredictAcrossScenarios reuses the sampled subgraph
+// job — PredictionService::PredictScenarios reuses the sampled subgraph
 // and profiles it under each deployment — and the scheduler picks the
 // cheapest scenario (in worker-seconds, the resources the job occupies)
 // whose predicted runtime meets the SLA. Each choice is then verified
@@ -20,8 +20,8 @@
 
 #include "bsp/scenario.h"
 #include "common/strings.h"
-#include "core/predictor.h"
 #include "datasets/datasets.h"
+#include "service/prediction_service.h"
 
 int main() {
   using namespace predict;
@@ -56,13 +56,13 @@ int main() {
 
   const std::vector<bsp::ClusterScenario>& scenarios = bsp::BuiltinScenarios();
   // Only the sampler (and cost-model/history) options matter here:
-  // PredictAcrossScenarios profiles each scenario under that scenario's
-  // own engine configuration.
-  PredictorOptions options;
-  options.sampler.sampling_ratio = 0.10;
-  options.sampler.seed = 11;
-  Predictor predictor(options);
-  bsp::ThreadPool pool(2);
+  // PredictScenarios profiles each scenario under that scenario's own
+  // engine configuration, two scenarios at a time.
+  PredictionServiceOptions options;
+  options.predictor.sampler.sampling_ratio = 0.10;
+  options.predictor.sampler.seed = 11;
+  options.num_threads = 2;
+  PredictionService service(options);
 
   std::printf("choosing deployments for %zu jobs from one 10%% sample run "
               "per (job, scenario)...\n",
@@ -73,8 +73,8 @@ int main() {
   int met = 0;
   for (const Job& job : jobs) {
     const Graph& graph = graph_of(job.dataset);
-    const auto reports = predictor.PredictAcrossScenarios(
-        job.algorithm, graph, job.dataset, job.config, scenarios, &pool);
+    const auto reports = service.PredictScenarios(
+        {job.algorithm, &graph, job.dataset, job.config, {}}, scenarios);
 
     std::printf("\n%s (SLA %s on the superstep phase)\n", job.name.c_str(),
                 FormatSeconds(job.sla_seconds).c_str());

@@ -44,11 +44,6 @@ struct AlgorithmSpec {
   std::string name;
   ConvergenceKind convergence = ConvergenceKind::kRelativeRatio;
   AlgorithmConfig default_config;
-  /// True if the algorithm operates on the undirected version of the
-  /// input (§5: "a reverse edge is added to each edge").
-  bool requires_undirected = false;
-  /// True if the algorithm consumes PageRank output as its input (§4.3).
-  bool requires_rank_input = false;
   /// Which config keys are convergence parameters (Conv in §3.2.2); the
   /// rest are configuration parameters (Conf).
   std::vector<std::string> convergence_keys = {"tau"};

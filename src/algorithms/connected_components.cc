@@ -10,7 +10,6 @@ const AlgorithmSpec& ConnectedComponentsSpec() {
     s.name = "connected_components";
     s.convergence = ConvergenceKind::kFixedPoint;
     s.default_config = {};
-    s.requires_undirected = true;
     s.convergence_keys = {};
     return s;
   }();

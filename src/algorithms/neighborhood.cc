@@ -13,7 +13,6 @@ const AlgorithmSpec& NeighborhoodSpec() {
     s.name = "neighborhood";
     s.convergence = ConvergenceKind::kRelativeRatio;
     s.default_config = {{"tau", 0.001}};
-    s.requires_undirected = true;
     s.convergence_keys = {"tau"};
     return s;
   }();

@@ -10,7 +10,6 @@ const AlgorithmSpec& PageRankSpec() {
     s.name = "pagerank";
     s.convergence = ConvergenceKind::kAbsoluteAggregate;
     s.default_config = {{"damping", 0.85}, {"tau", 1e-8}};
-    s.requires_undirected = false;
     s.convergence_keys = {"tau"};
     return s;
   }();

@@ -113,8 +113,7 @@ void Registry::RegisterBuiltins() {
           -> Result<AlgorithmRunResult> {
         PREDICT_ASSIGN_OR_RETURN(
             TopKResult topk,
-            RunTopKRanking(graph, options.config_overrides, options.engine,
-                           options.input_ranks));
+            RunTopKRanking(graph, options.config_overrides, options.engine));
         AlgorithmRunResult result;
         result.stats = std::move(topk.stats);
         return result;

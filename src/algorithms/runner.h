@@ -30,9 +30,6 @@ struct RunOptions {
   bsp::EngineOptions engine;
   /// Overrides applied on top of the algorithm's default config.
   AlgorithmConfig config_overrides;
-  /// Input PageRank values for algorithms with requires_rank_input;
-  /// empty means "compute them with a fixed-iteration PageRank first".
-  std::vector<double> input_ranks;
 };
 
 /// Output of a type-erased run.

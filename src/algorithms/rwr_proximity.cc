@@ -10,7 +10,6 @@ const AlgorithmSpec& RwrProximitySpec() {
     s.name = "rwr_proximity";
     s.convergence = ConvergenceKind::kAbsoluteAggregate;
     s.default_config = {{"restart", 0.85}, {"tau", 1e-8}, {"source", -1.0}};
-    s.requires_undirected = false;
     s.convergence_keys = {"tau"};
     return s;
   }();

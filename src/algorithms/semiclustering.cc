@@ -124,7 +124,6 @@ const AlgorithmSpec& SemiClusteringSpec() {
     s.convergence = ConvergenceKind::kRelativeRatio;
     s.default_config = {{"f_b", 0.1},  {"v_max", 10}, {"c_max", 1},
                         {"s_max", 1},  {"tau", 0.001}};
-    s.requires_undirected = true;
     s.convergence_keys = {"tau"};
     return s;
   }();

@@ -36,8 +36,6 @@ const AlgorithmSpec& TopKRankingSpec() {
     s.name = "topk_ranking";
     s.convergence = ConvergenceKind::kRelativeRatio;
     s.default_config = {{"k", 10}, {"tau", 0.001}, {"rank_iterations", 15}};
-    s.requires_undirected = false;
-    s.requires_rank_input = true;
     s.convergence_keys = {"tau"};
     return s;
   }();

@@ -60,8 +60,8 @@ namespace predict::bsp {
 ///     vertex is live (PageRank's steady state).
 ///
 /// kAdaptive picks per superstep from the previous superstep's survivor
-/// and message counts (the direction-optimizing idea of PR 4's BFS,
-/// generalized to the engine); the choice taken is recorded in
+/// and message counts against kDensePathThreshold (direction-optimizing
+/// BFS, generalized to the engine); the choice taken is recorded in
 /// SuperstepStats::dense_path.
 enum class SuperstepPath {
   kAdaptive = 0,
@@ -111,14 +111,14 @@ struct EngineOptions {
   /// equivalence gates and the micro benches).
   SuperstepPath superstep_path = SuperstepPath::kAdaptive;
 
-  /// kAdaptive goes dense for superstep S+1 when superstep S's
-  /// survivors + messages reach this fraction of |V|. Tuned by
-  /// bench/micro_substrate.cc (BM_DenseSuperstep vs BM_SparseActivation);
-  /// the choice never affects results, only host wall clock.
-  double dense_path_threshold = 0.6;
-
   CostProfile cost_profile;
 };
+
+/// kAdaptive goes dense for superstep S+1 when superstep S's survivors +
+/// messages reach this fraction of |V|. Tuned by bench/micro_substrate.cc
+/// (BM_DenseSuperstep vs BM_SparseActivation); the choice never affects
+/// results, only host wall clock.
+inline constexpr double kDensePathThreshold = 0.6;
 
 /// The options no run can start with: no workers, or no superstep
 /// budget. The engine checks them before every run; PredictionService
@@ -288,7 +288,7 @@ bool EngineState<V, M>::NextSuperstepDense(uint64_t survivors,
   // towards dense — which is the cheap mistake: the dense path degrades
   // to O(owned) while the sparse path degrades to a full sort).
   return static_cast<double>(survivors) + static_cast<double>(messages) >=
-         options_.dense_path_threshold * static_cast<double>(graph_->num_vertices());
+         kDensePathThreshold * static_cast<double>(graph_->num_vertices());
 }
 
 template <typename V, typename M>

@@ -116,7 +116,7 @@ std::string EngineOptionsKey(const EngineOptions& options) {
   // could make two different deployments share a cache slot — the exact
   // wrong-hit this key exists to prevent (same bounds-checked idiom as
   // SamplerOptionsKey).
-  // path/dpt join the key even though neither affects simulated output:
+  // path joins the key even though it does not affect simulated output:
   // profiles are keyed by the exact engine configuration that produced
   // them, so two configs that execute differently must never share a
   // cache slot (the SamplerOptionsKey discipline). The edge
@@ -127,7 +127,7 @@ std::string EngineOptionsKey(const EngineOptions& options) {
         out, size,
         "w=%u;part=%s;ms=%d;mem=%llu;av=%.17g;lm=%.17g;rm=%.17g;lb=%.17g;"
         "rb=%.17g;bar=%.17g;set=%.17g;rd=%.17g;wr=%.17g;ns=%.17g;seed=%llu;"
-        "path=%s;dpt=%.17g",
+        "path=%s",
         options.num_workers, PartitionStrategyName(options.partition),
         options.max_supersteps,
         static_cast<unsigned long long>(options.memory_budget_bytes),
@@ -136,7 +136,7 @@ std::string EngineOptionsKey(const EngineOptions& options) {
         cp.per_remote_byte_seconds, cp.barrier_seconds, cp.setup_seconds,
         cp.read_bytes_per_second, cp.write_bytes_per_second, cp.noise_sigma,
         static_cast<unsigned long long>(cp.noise_seed),
-        SuperstepPathName(options.superstep_path), options.dense_path_threshold);
+        SuperstepPathName(options.superstep_path));
   };
   char buf[512];
   std::string key;

@@ -12,10 +12,11 @@
 // Scenarios flow end to end: ToEngineOptions() configures a run,
 // pipeline::ProfileStage stamps its artifact with the scenario's
 // canonical key, PredictionService keys its profile cache on it (a
-// profile measured under one scenario never answers for another), and
-// Predictor::PredictAcrossScenarios / PredictionService::PredictScenarios
-// sweep one (algorithm, dataset) over many scenarios while reusing the
-// sampled subgraph.
+// profile measured under one scenario never answers for another),
+// pipeline::FitStage merges history only into a fit whose profile
+// carries the configured deployment's key, and
+// PredictionService::PredictScenarios sweeps one (algorithm, dataset)
+// over many scenarios while reusing the sampled subgraph.
 
 #ifndef PREDICT_BSP_SCENARIO_H_
 #define PREDICT_BSP_SCENARIO_H_

@@ -77,8 +77,7 @@ std::vector<TrainingRow> TrainingRowsFromProfile(const RunProfile& profile) {
   std::vector<TrainingRow> rows;
   rows.reserve(profile.iterations.size());
   for (const IterationProfile& it : profile.iterations) {
-    rows.push_back({it.critical_features, it.runtime_seconds,
-                    static_cast<double>(profile.num_workers)});
+    rows.push_back({it.critical_features, it.runtime_seconds});
   }
   return rows;
 }

@@ -72,12 +72,9 @@ RunProfile ProfileFromRunStats(const std::string& algorithm,
                                const bsp::RunStats& stats);
 
 /// One (features -> runtime) training observation for the cost model.
-/// `scale_out` carries the worker count of the run the row came from
-/// (0 = unknown); the feature-driven cost model ignores it.
 struct TrainingRow {
   FeatureVector features{};
   double runtime_seconds = 0.0;
-  double scale_out = 0.0;
 };
 
 /// Flattens a profile into training rows (one per iteration).

@@ -72,8 +72,7 @@ std::vector<TrainingRow> HistoryStore::TrainingRowsExcluding(
       continue;
     }
     for (const IterationProfile& it : profile.iterations) {
-      rows.push_back({it.critical_features, it.runtime_seconds,
-                      static_cast<double>(profile.num_workers)});
+      rows.push_back({it.critical_features, it.runtime_seconds});
     }
   }
   return rows;

@@ -281,13 +281,11 @@ Result<PredictionReport> Predictor::PredictRuntime(
 std::vector<Result<PredictionReport>> Predictor::PredictAcrossScenarios(
     const std::string& algorithm, const Graph& graph,
     const std::string& dataset_name, const AlgorithmConfig& overrides,
-    std::span<const bsp::ClusterScenario> scenarios, bsp::ThreadPool* pool) {
+    std::span<const bsp::ClusterScenario> scenarios) {
   PredictionService service({options_, /*num_threads=*/0});
-  std::vector<PredictionRequest> requests;
-  for (const bsp::ClusterScenario& scenario : scenarios) {
-    requests.push_back({algorithm, &graph, dataset_name, overrides, scenario});
-  }
-  return service.FanOut(requests, pool != nullptr ? *pool : service.pool_);
+  return service.PredictScenarios(
+      {algorithm, &graph, dataset_name, overrides, {}},
+      {scenarios.begin(), scenarios.end()});
 }
 
 PredictionEvaluation EvaluatePrediction(const PredictionReport& report,

@@ -23,7 +23,6 @@
 
 #include "algorithms/runner.h"
 #include "bsp/scenario.h"
-#include "bsp/thread_pool.h"
 #include "common/result.h"
 #include "core/cost_model.h"
 #include "core/distribution.h"
@@ -201,13 +200,15 @@ std::string DeterministicContent(const Result<PredictionReport>& result);
 
 /// The five pipeline stages wired from one PredictorOptions. Immutable
 /// after construction and safe to share across threads; every
-/// PredictionService runs its predictions through one of these.
+/// PredictionService runs its predictions through one of these. The fit
+/// takes options.engine as the configured deployment.
 struct PredictionPipeline {
   explicit PredictionPipeline(const PredictorOptions& options)
       : sample(options.sampler),
         transform(options.transform),
         profile(options.engine),
-        fit(options.cost_model, options.history),
+        fit(options.cost_model, options.history,
+            bsp::EngineOptionsKey(options.engine)),
         bootstrap(options.bootstrap) {}
 
   pipeline::SampleStage sample;
@@ -276,33 +277,28 @@ class Predictor {
                                           const AlgorithmConfig& overrides = {});
 
   /// Cross-deployment what-if (the paper's §5 deployment axis): predicts
-  /// `algorithm` on `graph` under each scenario, as one request per
-  /// scenario to the call's service (PredictionService::PredictScenarios
-  /// semantics). The sample is drawn once, by the first scenario that
-  /// needs it, and joined by the rest (their stages_reused is 1); an
+  /// `algorithm` on `graph` under each scenario, sequentially, through
+  /// PredictionService::PredictScenarios on a service built for the call
+  /// (num_threads = 0). The sample is drawn once, by the first scenario
+  /// that needs it, and joined by the rest (their stages_reused is 1); an
   /// empty sweep draws none. Each scenario is profiled and fitted under
   /// its own engine options, with its own deadline, attempt accounting
   /// and, when degraded_fallbacks is set, its own degradation ladder. A
   /// failed sample is never cached: scenarios that joined the failing
   /// draw share its error, and the next scenario to need it draws again.
   ///
-  /// The history store carries no deployment identity — assumption iii
-  /// ties its rows to the predictor's configured engine — and the paper
-  /// re-trains the cost model per cluster, so history joins a scenario's
-  /// fit only when the scenario's canonical engine key matches the
-  /// baseline engine's; every other scenario fits on its sample run
-  /// alone.
+  /// History joins a scenario's fit only when the scenario's canonical
+  /// engine key matches the configured engine's (FitStage); every other
+  /// scenario fits on its sample run alone.
   ///
-  /// results[i] corresponds to scenarios[i]. `pool` fans the scenarios
-  /// out (null = sequential); every stage is deterministic, so the
-  /// fanned-out batch has the sequential loop's DeterministicContent.
-  /// Scenario runs simulate inline on their fan-out thread
-  /// (num_threads = 0).
+  /// results[i] corresponds to scenarios[i]. To fan a sweep out over
+  /// host threads, call PredictScenarios on a service with num_threads
+  /// > 0: every stage is deterministic, so it has this sweep's
+  /// DeterministicContent.
   std::vector<Result<PredictionReport>> PredictAcrossScenarios(
       const std::string& algorithm, const Graph& graph,
       const std::string& dataset_name, const AlgorithmConfig& overrides,
-      std::span<const bsp::ClusterScenario> scenarios,
-      bsp::ThreadPool* pool = nullptr);
+      std::span<const bsp::ClusterScenario> scenarios);
 
   const PredictorOptions& options() const { return options_; }
 

@@ -102,8 +102,7 @@ Graph Graph::FromCsr(std::vector<uint64_t> out_offsets,
                      std::vector<VertexId> out_targets,
                      std::vector<float> out_weights,
                      std::vector<uint64_t> in_offsets,
-                     std::vector<VertexId> in_sources,
-                     bool compress_edges) {
+                     std::vector<VertexId> in_sources) {
   assert(!out_offsets.empty() && out_offsets.size() == in_offsets.size());
   assert(out_offsets.front() == 0 && in_offsets.front() == 0);
   assert(out_offsets.back() == out_targets.size());
@@ -126,7 +125,6 @@ Graph Graph::FromCsr(std::vector<uint64_t> out_offsets,
   g.in_offsets_ = std::move(in_offsets);
   g.in_sources_ = std::move(in_sources);
   g.is_weighted_ = !g.out_weights_.empty();
-  if (compress_edges) g.CompressEdgesInPlace();
   return g;
 }
 
@@ -432,8 +430,6 @@ Result<Graph> GraphBuilder::Build() {
 
   edges_.clear();
   edges_.shrink_to_fit();
-
-  if (compress_edges_) g.CompressEdgesInPlace();
   return g;
 }
 

@@ -8,7 +8,6 @@
 //
 // Edge endpoints can optionally be stored varint/delta-compressed
 // (graph/varint.h) instead of as flat id arrays — opt in via
-// GraphBuilder::set_compress_edges, the Graph::FromCsr flag, or
 // Graph::WithCompressedEdges. A compressed graph has the same logical
 // structure (same Fingerprint, same ToEdgeList) at a fraction of the
 // edge bytes, which is what lets 10M-100M-edge inputs fit the simulated
@@ -99,15 +98,11 @@ class Graph {
   /// least one weight != 1.0f; the in arrays describe exactly the
   /// reverse of the out arrays. Invariants are checked with assert()
   /// in debug builds only — this is not an input-validation API.
-  ///
-  /// With `compress_edges` set, the target/source arrays are re-encoded
-  /// as varint/delta streams and discarded.
   static Graph FromCsr(std::vector<uint64_t> out_offsets,
                        std::vector<VertexId> out_targets,
                        std::vector<float> out_weights,
                        std::vector<uint64_t> in_offsets,
-                       std::vector<VertexId> in_sources,
-                       bool compress_edges = false);
+                       std::vector<VertexId> in_sources);
 
   /// Returns `g` with edge endpoints varint/delta-compressed (no-op if
   /// already compressed). Same logical structure, same Fingerprint.
@@ -381,9 +376,6 @@ class GraphBuilder {
   /// Deduplicate parallel edges at Build time, keeping the first weight.
   void set_dedup_parallel_edges(bool dedup) { dedup_parallel_edges_ = dedup; }
 
-  /// Store edge endpoints varint/delta-compressed (default plain).
-  void set_compress_edges(bool compress) { compress_edges_ = compress; }
-
   uint64_t num_pending_edges() const { return edges_.size(); }
 
   /// Validates and assembles the CSR structure. The builder is consumed.
@@ -394,7 +386,6 @@ class GraphBuilder {
   std::vector<Edge> edges_;
   bool drop_self_loops_ = false;
   bool dedup_parallel_edges_ = false;
-  bool compress_edges_ = false;
 };
 
 }  // namespace predict

@@ -130,6 +130,17 @@ Result<Graph> ReadBinaryGraphFile(const std::string& path) {
   if (num_vertices > 0xFFFFFFFFULL) {
     return Status::OutOfRange("vertex count exceeds 32-bit ids");
   }
+  // The edge count sizes the edge list below, so it must fit the bytes
+  // the file has left: a corrupt header fails here, not in the allocator.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  const uint64_t edge_bytes = weighted != 0 ? 12 : 8;
+  if (!in || header_end < 0 || file_end < header_end ||
+      num_edges > static_cast<uint64_t>(file_end - header_end) / edge_bytes) {
+    return Status::IOError("truncated PRDG edge section in '" + path + "'");
+  }
   std::vector<Edge> edges;
   edges.reserve(num_edges);
   for (uint64_t i = 0; i < num_edges; ++i) {

@@ -34,7 +34,8 @@ Status WriteEdgeListFile(const Graph& graph, const std::string& path);
 /// format.
 Status WriteBinaryGraphFile(const Graph& graph, const std::string& path);
 
-/// Reads a graph written by WriteBinaryGraphFile.
+/// Reads a graph written by WriteBinaryGraphFile. IOError when the file
+/// is not PRDG or holds fewer edges than its header claims.
 Result<Graph> ReadBinaryGraphFile(const std::string& path);
 
 }  // namespace predict

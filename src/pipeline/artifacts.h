@@ -50,14 +50,11 @@ struct SampleKey {
   std::string ToString() const;
 };
 
-/// Output of SampleStage: the sampled subgraph plus its identity.
+/// Output of SampleStage: the sampled subgraph. PredictionService shares
+/// one artifact across the later graph versions that keep its sample
+/// (KeepsSample in sampling/sampler.h), so an artifact names no graph
+/// version; its identity is its content (ContentKey()).
 struct SampleArtifact {
-  /// The version the sample was drawn from. PredictionService shares one
-  /// artifact across the later versions that keep its sample (KeepsSample
-  /// in sampling/sampler.h), whose own keys differ: there the key names
-  /// the version the sample was first drawn from. Nothing downstream of
-  /// the sample cache reads it.
-  SampleKey key;
   Sample sample;
 
   /// The realized sampling ratio, read from the Sample (never
@@ -74,11 +71,9 @@ struct SampleArtifact {
   std::string ContentKey() const;
 };
 
-/// Output of TransformStage: the resolved actual-run configuration and
-/// the §3.2.2-transformed sample-run configuration.
+/// Output of TransformStage: the §3.2.2-transformed sample-run
+/// configuration.
 struct TransformArtifact {
-  AlgorithmSpec spec;
-  AlgorithmConfig actual_config;
   AlgorithmConfig sample_config;
   /// One-line description of the transform rule, for reports.
   std::string description;
@@ -97,11 +92,10 @@ struct ProfileArtifact {
   /// the wall time of the run that produced it. Part of a report's
   /// execution record (see DeterministicContent in core/predictor.h).
   double sample_wall_seconds = 0.0;
-  /// Provenance: the canonical key (bsp::EngineOptionsKey) of the
-  /// engine configuration the profile was measured under. Profiles are
-  /// only comparable within one such configuration; consumers holding a
-  /// cached artifact can check which deployment produced it.
-  /// (PredictionService derives its cache key from the same
+  /// The canonical key (bsp::EngineOptionsKey) of the engine
+  /// configuration the profile was measured under. FitStage merges
+  /// history rows only when it is the configured deployment's key.
+  /// (PredictionService derives its profile-cache key from the same
   /// EngineOptionsKey before the artifact exists.)
   std::string scenario_key;
   /// Relative slow-worker overhang of the deployment the profile was

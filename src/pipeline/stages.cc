@@ -41,8 +41,7 @@ auto RunSampleBoundary(const Graph& graph, const SamplerOptions& options,
   });
 }
 
-// The body of every run that draws: stamp the artifact's key, then draw
-// the sample.
+// The body of every run that draws: draw the sample into an artifact.
 template <typename DrawFn>
 Result<SampleArtifact> RunSampleStage(const Graph& graph,
                                       const SamplerOptions& options,
@@ -50,7 +49,6 @@ Result<SampleArtifact> RunSampleStage(const Graph& graph,
   return RunSampleBoundary(
       graph, options, ctx, [&]() -> Result<SampleArtifact> {
         SampleArtifact artifact;
-        artifact.key = SampleKey::For(graph, options);
         PREDICT_ASSIGN_OR_RETURN(artifact.sample, draw());
         return artifact;
       });
@@ -150,19 +148,19 @@ Status TransformStage::Validate(const std::string& algorithm,
 Result<TransformArtifact> TransformStage::Run(const std::string& algorithm,
                                               const AlgorithmConfig& overrides,
                                               double realized_ratio) const {
+  PREDICT_ASSIGN_OR_RETURN(const AlgorithmSpec spec,
+                           FindAlgorithmSpec(algorithm));
+  PREDICT_ASSIGN_OR_RETURN(const AlgorithmConfig actual_config,
+                           ResolveConfig(spec, overrides));
   TransformArtifact artifact;
-  PREDICT_ASSIGN_OR_RETURN(artifact.spec, FindAlgorithmSpec(algorithm));
-  PREDICT_ASSIGN_OR_RETURN(artifact.actual_config,
-                           ResolveConfig(artifact.spec, overrides));
   PREDICT_ASSIGN_OR_RETURN(
       artifact.sample_config,
-      TransformConfigForSample(artifact.spec, artifact.actual_config,
-                               realized_ratio, custom_));
+      TransformConfigForSample(spec, actual_config, realized_ratio, custom_));
   const TransformFunction& transform =
       custom_ != nullptr
           ? *custom_
           : static_cast<const TransformFunction&>(DefaultTransform::Instance());
-  artifact.description = transform.Describe(artifact.spec);
+  artifact.description = transform.Describe(spec);
   return artifact;
 }
 
@@ -249,7 +247,7 @@ Result<ModelArtifact> FitStage::Run(const ProfileArtifact& profile,
         TrainingRowsFromProfile(profile.sample_profile);
     ModelArtifact artifact;
     artifact.selection.sample_rows = rows.size();
-    if (history_ != nullptr) {
+    if (history_ != nullptr && profile.scenario_key == engine_key_) {
       const std::vector<TrainingRow> history_rows =
           history_->TrainingRowsExcluding(algorithm, exclude_dataset);
       artifact.selection.history_rows = history_rows.size();

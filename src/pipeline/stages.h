@@ -18,6 +18,7 @@
 #define PREDICT_PIPELINE_STAGES_H_
 
 #include <string>
+#include <utility>
 
 #include "algorithms/runner.h"
 #include "common/result.h"
@@ -42,8 +43,8 @@ struct StageContext {
   AttemptAccounting* accounting = nullptr;
 };
 
-/// Stage 1: draws the sample and stamps it with its cache identity.
-/// Fail point: sample.walk.
+/// Stage 1: draws the sample.
+/// Fail point: sample.walk, context-keyed on the graph's SampleKey.
 class SampleStage {
  public:
   explicit SampleStage(SamplerOptions options) : options_(options) {}
@@ -168,11 +169,21 @@ class ExtrapolateStage {
 /// history store's rows for the same algorithm on *other* datasets (the
 /// paper's training methodology, §3.4). That one model predicts every
 /// iteration of a full-quality report.
+///
+/// History rows carry no deployment identity: they ran on the
+/// configured deployment (assumption iii), and the paper re-trains its
+/// cost model per cluster. So they join the fit only when the profile's
+/// scenario_key equals `engine_key`, the configured deployment's
+/// bsp::EngineOptionsKey; a profile measured under any other deployment
+/// fits on its sample rows alone.
 class FitStage {
  public:
   /// `history` may be null (train on the sample rows alone). Not owned.
-  FitStage(CostModelOptions options, const HistoryStore* history)
-      : options_(options), history_(history) {}
+  FitStage(CostModelOptions options, const HistoryStore* history,
+           std::string engine_key)
+      : options_(options),
+        history_(history),
+        engine_key_(std::move(engine_key)) {}
 
   /// Fail point: fit.ols, context-keyed on (algorithm, exclude_dataset).
   Result<ModelArtifact> Run(const ProfileArtifact& profile,
@@ -183,6 +194,7 @@ class FitStage {
  private:
   CostModelOptions options_;
   const HistoryStore* history_;
+  std::string engine_key_;
 };
 
 }  // namespace predict::pipeline

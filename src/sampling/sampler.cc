@@ -459,7 +459,6 @@ Result<Sample> DrawSample(const Graph& graph, const SamplerOptions& options,
   if (record != nullptr) {
     *record = SampleWalkRecord{};
     record->options = options;
-    record->graph_fingerprint = graph.Fingerprint();
     // PlanDraw admits segmented walks for RJ and BRJ only.
     record->supports_incremental = options.walk_segment_steps != 0;
     if (record->supports_incremental) record->brj_seeds = plan.brj_seeds;

@@ -116,8 +116,6 @@ Result<std::vector<VertexId>> SampleVertices(const Graph& graph,
 /// functions alone, on one shared set of preconditions.
 struct SampleWalkRecord {
   SamplerOptions options;
-  /// Graph::Fingerprint() of the graph this record was walked on.
-  uint64_t graph_fingerprint = 0;
   /// True iff the walk was segmented (walk_segment_steps > 0, RJ/BRJ);
   /// false means ResampleIncremental always falls back to a full
   /// resample.

@@ -14,11 +14,6 @@ uint32_t ResolveThreads(int num_threads) {
   return hw == 0 ? 4 : hw;
 }
 
-PredictorOptions WithoutHistory(PredictorOptions options) {
-  options.history = nullptr;
-  return options;
-}
-
 }  // namespace
 
 // A cache slot that deduplicates concurrent computation: the thread that
@@ -53,7 +48,6 @@ struct PredictionService::Entry {
 PredictionService::PredictionService(PredictionServiceOptions options)
     : options_(std::move(options)),
       stages_(options_.predictor),
-      history_free_stages_(WithoutHistory(options_.predictor)),
       default_engine_key_(bsp::EngineOptionsKey(options_.predictor.engine)),
       pool_(ResolveThreads(options_.num_threads)) {}
 
@@ -232,14 +226,10 @@ Result<PredictionReport> PredictionService::Predict(
   if (!profile.ok()) return history_only(profile.status());
 
   // 4-6. Extrapolate, fit, predict — per request, never cached (history
-  // exclusion and the full graph differ per request). History rows carry
-  // no deployment identity and belong to the configured engine
-  // (assumption iii), so only a deployment with the configured engine's
-  // canonical key fits on them; any other fits on its sample run alone.
-  const PredictionPipeline& assemble_stages =
-      engine_key == default_engine_key_ ? stages_ : history_free_stages_;
+  // exclusion and the full graph differ per request). The fit merges
+  // history only into a profile measured under the configured engine.
   Result<PredictionReport> report = AssemblePredictionReport(
-      assemble_stages, graph, request.algorithm, request.dataset, **sample,
+      stages_, graph, request.algorithm, request.dataset, **sample,
       transform, **profile, fit_ctx);
   if (!report.ok()) return history_only(report.status());
   report->accounting = accounting;
@@ -250,21 +240,16 @@ Result<PredictionReport> PredictionService::Predict(
   return report;
 }
 
-std::vector<Result<PredictionReport>> PredictionService::FanOut(
-    std::span<const PredictionRequest> requests, bsp::ThreadPool& pool) {
+std::vector<Result<PredictionReport>> PredictionService::PredictBatch(
+    const std::vector<PredictionRequest>& requests) {
   // Slots are written by index: results are positionally deterministic no
   // matter which pool thread answers which request.
   std::vector<Result<PredictionReport>> results(
       requests.size(), Status::Internal("request not answered"));
-  pool.ParallelFor(requests.size(),
-                   [&](uint64_t i) { results[i] = Predict(requests[i]); });
-  return results;
-}
-
-std::vector<Result<PredictionReport>> PredictionService::PredictBatch(
-    const std::vector<PredictionRequest>& requests) {
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-  return FanOut(requests, pool_);
+  pool_.ParallelFor(requests.size(),
+                    [&](uint64_t i) { results[i] = Predict(requests[i]); });
+  return results;
 }
 
 std::vector<Result<PredictionReport>> PredictionService::PredictScenarios(

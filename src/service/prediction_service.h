@@ -64,7 +64,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,8 +91,9 @@ struct PredictionRequest {
   /// stay the service's (the caches remain valid across scenarios).
   /// History rows carry no deployment identity, so they join the fit
   /// only when the scenario's canonical engine key matches the
-  /// service's configured engine; other scenarios fit on the sample run
-  /// alone (the paper re-trains its cost model per cluster).
+  /// service's configured engine (pipeline::FitStage); other scenarios
+  /// fit on the sample run alone (the paper re-trains its cost model
+  /// per cluster).
   std::optional<bsp::ClusterScenario> scenario;
 };
 
@@ -102,8 +102,8 @@ struct PredictionServiceOptions {
   /// (caches are only valid within one such configuration).
   PredictorOptions predictor;
 
-  /// Host threads for PredictBatch fan-out: -1 = one per hardware
-  /// thread, 0 = inline on the caller. Independent of
+  /// Host threads for the PredictBatch and PredictScenarios fan-out:
+  /// -1 = one per hardware thread, 0 = inline on the caller. Independent of
   /// predictor.engine.num_threads (the per-run simulation threads); for
   /// batch serving, prefer engine.num_threads = 0 and let the batch
   /// fan-out supply the parallelism.
@@ -177,9 +177,6 @@ class PredictionService {
   const PredictionServiceOptions& options() const { return options_; }
 
  private:
-  // Predictor answers each call through a service built for that call.
-  friend class Predictor;
-
   template <typename ValuePtr>
   struct Entry;
   template <typename ValuePtr>
@@ -188,12 +185,6 @@ class PredictionService {
 
   using SamplePtr = std::shared_ptr<const pipeline::SampleArtifact>;
   using ProfilePtr = std::shared_ptr<const pipeline::ProfileArtifact>;
-
-  /// The one fan-out behind PredictBatch, PredictScenarios and
-  /// Predictor::PredictAcrossScenarios: results[i] answers requests[i],
-  /// whichever thread of `pool` computed it.
-  std::vector<Result<PredictionReport>> FanOut(
-      std::span<const PredictionRequest> requests, bsp::ThreadPool& pool);
 
   /// The one cache policy, shared by both caches: the first request for
   /// `key` runs `compute` while later ones join its result (`hit` says
@@ -215,9 +206,9 @@ class PredictionService {
   /// kept or spliced from. A kept version shares the record and the
   /// sample: the walk is its walk too.
   struct WalkState {
-    /// Fingerprint() of the version. The record's own graph_fingerprint
-    /// names the version the walk ran on: an ancestor, once a version
-    /// kept its sample.
+    /// Fingerprint() of the version, which a child's
+    /// GraphLineage::parent_fingerprint must name. Once a version kept
+    /// its sample, the walk itself ran on an ancestor.
     uint64_t graph_fingerprint = 0;
     std::shared_ptr<const SampleWalkRecord> record;  // null: no state
     SamplePtr sample;
@@ -225,10 +216,6 @@ class PredictionService {
 
   PredictionServiceOptions options_;
   PredictionPipeline stages_;
-  /// stages_ with the history store detached: assembles reports for
-  /// scenarios that model a deployment other than the configured one
-  /// (history rows belong to the configured deployment only).
-  PredictionPipeline history_free_stages_;
   /// EngineOptionsKey of the service's configured deployment, the
   /// profile-cache scenario component for requests without a scenario.
   std::string default_engine_key_;

@@ -241,15 +241,8 @@ TEST(DeterminismTest, AlternativePartitionersAreInternallyDeterministic) {
 // transitions) and semi-clustering across paths x thread counts against
 // the always-sparse fingerprint.
 TEST(DeterminismTest, SuperstepPathsBitIdentical) {
-  struct PathCase {
-    bsp::SuperstepPath path;
-    double threshold;
-  };
-  const PathCase cases[] = {
-      {bsp::SuperstepPath::kAdaptive, 0.6},
-      {bsp::SuperstepPath::kAdaptive, 0.2},  // transitions earlier
-      {bsp::SuperstepPath::kDense, 0.6},
-  };
+  const bsp::SuperstepPath paths[] = {bsp::SuperstepPath::kAdaptive,
+                                      bsp::SuperstepPath::kDense};
   for (const int threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EngineOptions sparse = ClusterOptions(threads);
@@ -267,12 +260,10 @@ TEST(DeterminismTest, SuperstepPathsBitIdentical) {
         FingerprintIds(cc->labels, FingerprintRunStats(cc->stats));
     const uint64_t sc_fp = FingerprintRunStats(sc->stats);
 
-    for (const PathCase& c : cases) {
-      SCOPED_TRACE(std::string(bsp::SuperstepPathName(c.path)) +
-                   " threshold=" + std::to_string(c.threshold));
+    for (const bsp::SuperstepPath path : paths) {
+      SCOPED_TRACE(bsp::SuperstepPathName(path));
       EngineOptions options = sparse;
-      options.superstep_path = c.path;
-      options.dense_path_threshold = c.threshold;
+      options.superstep_path = path;
 
       auto pr2 = RunPageRank(GoldenPrGraph(), {{"tau", 1e-6}}, options);
       ASSERT_TRUE(pr2.ok());

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 
 #include "algorithms/rwr_proximity.h"
 #include "algorithms/runner.h"
@@ -158,6 +159,26 @@ TEST(BinaryIoTest, RejectsTruncatedFile) {
   ASSERT_TRUE(WriteBinaryGraphFile(g, path).ok());
   std::filesystem::resize_file(path, 30);  // cut into the edge section
   EXPECT_TRUE(ReadBinaryGraphFile(path).status().IsIOError());
+  std::filesystem::remove(path);
+}
+
+TEST(BinaryIoTest, RejectsEdgeCountBeyondFileSize) {
+  // A header-only file whose edge count claims more edges than the file
+  // holds is an IOError, not an allocation failure.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "predict_count.prdg").string();
+  for (const uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 61}) {
+    SCOPED_TRACE(claimed);
+    ASSERT_TRUE(
+        WriteBinaryGraphFile(GraphBuilder(4).Build().MoveValue(), path).ok());
+    ASSERT_EQ(std::filesystem::file_size(path), 25u);
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(16);  // magic (4) + version (4) + |V| (8)
+      f.write(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+    }
+    EXPECT_TRUE(ReadBinaryGraphFile(path).status().IsIOError());
+  }
   std::filesystem::remove(path);
 }
 

@@ -432,13 +432,12 @@ TEST(CompressedEdgesTest, CompressionShrinksEdgeStorage) {
   }
 }
 
-TEST(CompressedEdgesTest, BuilderFlagCompresses) {
+TEST(CompressedEdgesTest, CompressesABuiltGraph) {
   GraphBuilder b(4);
-  b.set_compress_edges(true);
   b.AddEdge(0, 1);
   b.AddEdge(0, 3);
   b.AddEdge(2, 0);
-  const Graph g = b.Build().MoveValue();
+  const Graph g = Graph::WithCompressedEdges(b.Build().MoveValue());
   EXPECT_TRUE(g.edges_compressed());
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_EQ(g.out_degree(0), 2u);
@@ -450,9 +449,8 @@ TEST(CompressedEdgesTest, BuilderFlagCompresses) {
 }
 
 TEST(CompressedEdgesTest, EmptyAndEdgelessGraphs) {
-  GraphBuilder b(5);
-  b.set_compress_edges(true);
-  const Graph g = b.Build().MoveValue();
+  const Graph g =
+      Graph::WithCompressedEdges(GraphBuilder(5).Build().MoveValue());
   EXPECT_TRUE(g.edges_compressed());
   EXPECT_EQ(g.num_edges(), 0u);
   std::vector<VertexId> scratch;

@@ -56,11 +56,7 @@ TEST(HistoryPersistenceTest, NumWorkersRoundTrips) {
   EXPECT_EQ(profiles[0].num_workers, 8u);
   EXPECT_EQ(profiles[1].num_workers, 29u);
 
-  // The worker count reaches each training row as TrainingRow::scale_out.
-  const std::vector<TrainingRow> rows = loaded->TrainingRowsFor("pagerank");
-  ASSERT_EQ(rows.size(), 5u);
-  EXPECT_DOUBLE_EQ(rows[0].scale_out, 8.0);
-  EXPECT_DOUBLE_EQ(rows[4].scale_out, 29.0);
+  EXPECT_EQ(loaded->TrainingRowsFor("pagerank").size(), 5u);
 
   // Save -> load -> save is byte-stable (no drift across generations).
   const std::string path2 = TempPath("predict_history_workers2.csv");
@@ -94,7 +90,6 @@ TEST(HistoryPersistenceTest, LegacyFileWithoutWorkersColumnLoads) {
 
   const std::vector<TrainingRow> rows = loaded->TrainingRowsFor("pagerank");
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].scale_out, 0.0);
   EXPECT_DOUBLE_EQ(rows[1].runtime_seconds, 1.0);
   EXPECT_DOUBLE_EQ(rows[1].features[static_cast<int>(Feature::kRemMsg)], 100.0);
   std::filesystem::remove(path);

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "algorithms/runner.h"
+#include "bsp/scenario.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "pipeline/artifacts.h"
@@ -42,7 +43,6 @@ bsp::EngineOptions TestEngine() {
 // Builds a SampleArtifact by hand: the "sample" is the whole graph.
 SampleArtifact WholeGraphSample(const Graph& graph) {
   SampleArtifact artifact;
-  artifact.key = SampleKey::For(graph, SamplerOptions{});
   artifact.sample.subgraph = graph;
   artifact.sample.vertices.resize(graph.num_vertices());
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
@@ -53,13 +53,10 @@ SampleArtifact WholeGraphSample(const Graph& graph) {
   return artifact;
 }
 
-// Builds a TransformArtifact by hand for `algorithm` with the given
-// sample config (no TransformStage involved).
-TransformArtifact HandTransform(const std::string& algorithm,
-                                const AlgorithmConfig& sample_config) {
+// Builds a TransformArtifact by hand with the given sample config (no
+// TransformStage involved).
+TransformArtifact HandTransform(const AlgorithmConfig& sample_config) {
   TransformArtifact artifact;
-  artifact.spec = FindAlgorithmSpec(algorithm).MoveValue();
-  artifact.actual_config = sample_config;
   artifact.sample_config = sample_config;
   artifact.description = "hand-built";
   return artifact;
@@ -67,7 +64,7 @@ TransformArtifact HandTransform(const std::string& algorithm,
 
 // ------------------------------------------------------------ SampleStage
 
-TEST(SampleStageTest, ProducesKeyedArtifactWithRealizedRatio) {
+TEST(SampleStageTest, ProducesArtifactWithRealizedRatio) {
   const Graph g = TestGraph();
   SamplerOptions options;
   options.sampling_ratio = 0.1;
@@ -75,8 +72,6 @@ TEST(SampleStageTest, ProducesKeyedArtifactWithRealizedRatio) {
   const SampleStage stage(options);
   auto artifact = stage.Run(g);
   ASSERT_TRUE(artifact.ok());
-  EXPECT_EQ(artifact->key.graph_fingerprint, g.Fingerprint());
-  EXPECT_EQ(artifact->key.options, options);
   EXPECT_NEAR(artifact->realized_ratio(), 0.1, 0.01);
   EXPECT_EQ(artifact->sample.original_num_vertices, g.num_vertices());
   EXPECT_EQ(artifact->sample.subgraph.num_vertices(),
@@ -95,7 +90,7 @@ TEST(SampleStageTest, DeterministicForFixedOptions) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->sample.vertices, b->sample.vertices);
   EXPECT_EQ(a->sample.subgraph.Fingerprint(), b->sample.subgraph.Fingerprint());
-  EXPECT_EQ(a->key.ToString(), b->key.ToString());
+  EXPECT_EQ(a->ContentKey(), b->ContentKey());
 }
 
 // A segmented stage and a graph version one edge insert away from the
@@ -122,7 +117,6 @@ SamplerOptions SegmentedStageOptions() {
 }
 
 void ExpectSameArtifact(const SampleArtifact& a, const SampleArtifact& b) {
-  EXPECT_EQ(a.key.ToString(), b.key.ToString());
   EXPECT_EQ(a.ContentKey(), b.ContentKey());
   EXPECT_EQ(a.sample.vertices, b.sample.vertices);
 }
@@ -194,8 +188,6 @@ TEST(TransformStageTest, ScalesTauForAbsoluteAggregateAlgorithms) {
   const TransformStage stage;
   auto artifact = stage.Run("pagerank", {{"tau", 1e-6}}, 0.1);
   ASSERT_TRUE(artifact.ok());
-  EXPECT_EQ(artifact->spec.name, "pagerank");
-  EXPECT_DOUBLE_EQ(artifact->actual_config.at("tau"), 1e-6);
   EXPECT_NEAR(artifact->sample_config.at("tau"), 1e-5, 1e-12);
   EXPECT_FALSE(artifact->description.empty());
 }
@@ -223,10 +215,10 @@ TEST(TransformStageTest, UnknownAlgorithmAndBadKeyFail) {
 }
 
 TEST(TransformArtifactTest, ConfigKeyIsCanonical) {
-  TransformArtifact a = HandTransform("pagerank", {{"tau", 0.5}, {"d", 0.85}});
-  TransformArtifact b = HandTransform("pagerank", {{"d", 0.85}, {"tau", 0.5}});
+  TransformArtifact a = HandTransform({{"tau", 0.5}, {"d", 0.85}});
+  TransformArtifact b = HandTransform({{"d", 0.85}, {"tau", 0.5}});
   EXPECT_EQ(a.ConfigKey(), b.ConfigKey());  // map order is canonical
-  TransformArtifact c = HandTransform("pagerank", {{"tau", 0.25}, {"d", 0.85}});
+  TransformArtifact c = HandTransform({{"tau", 0.25}, {"d", 0.85}});
   EXPECT_NE(a.ConfigKey(), c.ConfigKey());
 }
 
@@ -235,8 +227,8 @@ TEST(TransformArtifactTest, ConfigKeyIsCanonical) {
 // would serve one config's sample run for the other.
 TEST(TransformArtifactTest, ConfigKeyNeverTruncatesLongNames) {
   const std::string name(60, 'p');
-  TransformArtifact a = HandTransform("pagerank", {{name, 0.125}});
-  TransformArtifact b = HandTransform("pagerank", {{name, 0.5}});
+  TransformArtifact a = HandTransform({{name, 0.125}});
+  TransformArtifact b = HandTransform({{name, 0.5}});
   EXPECT_NE(a.ConfigKey(), b.ConfigKey());
   EXPECT_EQ(a.ConfigKey(), name + "=0.125;");
 }
@@ -246,8 +238,7 @@ TEST(TransformArtifactTest, ConfigKeyNeverTruncatesLongNames) {
 TEST(ProfileStageTest, ProfilesHandBuiltSampleArtifact) {
   const Graph g = TestGraph(2000, 11);
   const SampleArtifact sample = WholeGraphSample(g);
-  const TransformArtifact transform =
-      HandTransform("connected_components", {});
+  const TransformArtifact transform = HandTransform({});
   const ProfileStage stage(TestEngine());
   auto profile = stage.Run("connected_components", "ds", sample, transform);
   ASSERT_TRUE(profile.ok());
@@ -266,8 +257,7 @@ TEST(ProfileStageTest, ProfilesHandBuiltSampleArtifact) {
 TEST(ProfileStageTest, EmptyDatasetLabelledSample) {
   const Graph g = TestGraph(1000, 12);
   const SampleArtifact sample = WholeGraphSample(g);
-  const TransformArtifact transform =
-      HandTransform("connected_components", {});
+  const TransformArtifact transform = HandTransform({});
   const ProfileStage stage(TestEngine());
   auto profile = stage.Run("connected_components", "", sample, transform);
   ASSERT_TRUE(profile.ok());
@@ -324,9 +314,14 @@ TEST(ExtrapolateStageTest, EmptySampleGraphFails) {
 
 // -------------------------------------------------------------- FitStage
 
-// A profile whose runtimes follow an exact linear law over one feature.
+// The deployment every FitStage below is configured with.
+std::string TestEngineKey() { return bsp::EngineOptionsKey(TestEngine()); }
+
+// A profile measured under TestEngine() whose runtimes follow an exact
+// linear law over one feature.
 ProfileArtifact LinearProfile(int rows, double slope, double intercept) {
   ProfileArtifact artifact;
+  artifact.scenario_key = TestEngineKey();
   artifact.sample_profile.algorithm = "synthetic";
   for (int i = 0; i < rows; ++i) {
     IterationProfile it;
@@ -341,7 +336,7 @@ ProfileArtifact LinearProfile(int rows, double slope, double intercept) {
 
 TEST(FitStageTest, RecoversLinearLawFromHandBuiltProfile) {
   const ProfileArtifact profile = LinearProfile(12, 2e-6, 0.25);
-  const FitStage stage(CostModelOptions{}, nullptr);
+  const FitStage stage(CostModelOptions{}, nullptr, TestEngineKey());
   auto model = stage.Run(profile, "synthetic", "");
   ASSERT_TRUE(model.ok());
   EXPECT_GT(model->model.r_squared(), 0.999);
@@ -363,16 +358,47 @@ TEST(FitStageTest, MergesHistoryButExcludesSameDataset) {
   poisoned.iterations.push_back(bad);
   history.Add(poisoned);
 
-  const FitStage stage(CostModelOptions{}, &history);
+  const FitStage stage(CostModelOptions{}, &history, TestEngineKey());
   auto model = stage.Run(profile, "synthetic", "mine");
   ASSERT_TRUE(model.ok());
   // The absurd same-dataset row was excluded; the clean linear law holds.
   EXPECT_GT(model->model.r_squared(), 0.999);
 }
 
+// History rows ran on the configured deployment (assumption iii), so
+// they join only a fit whose profile was measured under it.
+TEST(FitStageTest, MergesHistoryOnlyUnderTheConfiguredDeployment) {
+  HistoryStore history;
+  RunProfile other;
+  other.algorithm = "synthetic";
+  other.dataset = "other";
+  IterationProfile row;
+  row.critical_features[static_cast<int>(Feature::kRemMsgSize)] = 4500.0;
+  row.runtime_seconds = 2e-6 * 4500.0 + 0.25;
+  other.iterations.push_back(row);
+  history.Add(other);
+  const FitStage stage(CostModelOptions{}, &history, TestEngineKey());
+
+  ProfileArtifact profile = LinearProfile(8, 2e-6, 0.25);
+  auto model = stage.Run(profile, "synthetic", "mine");
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(model->selection.sample_rows, 8u);
+  EXPECT_EQ(model->selection.history_rows, 1u);
+  EXPECT_EQ(model->residuals.size(), 9u);
+
+  bsp::EngineOptions foreign = TestEngine();
+  foreign.num_workers = 10;
+  profile.scenario_key = bsp::EngineOptionsKey(foreign);
+  model = stage.Run(profile, "synthetic", "mine");
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(model->selection.sample_rows, 8u);
+  EXPECT_EQ(model->selection.history_rows, 0u);
+  EXPECT_EQ(model->residuals.size(), 8u);
+}
+
 TEST(FitStageTest, EmptyProfileFails) {
   const ProfileArtifact empty;
-  const FitStage stage(CostModelOptions{}, nullptr);
+  const FitStage stage(CostModelOptions{}, nullptr, TestEngineKey());
   EXPECT_FALSE(stage.Run(empty, "synthetic", "").ok());
 }
 

@@ -81,17 +81,14 @@ TEST(ScenarioTest, EngineKeysAreCanonicalAndDistinct) {
 }
 
 TEST(ScenarioTest, ExecutionModeKnobsMoveTheEngineKey) {
-  // superstep path and dense threshold never change simulated output,
-  // but they change what executed — profiles must not wrong-hit across
-  // them (the SamplerOptionsKey discipline).
+  // The superstep path never changes simulated output, but it changes
+  // what executed — profiles must not wrong-hit across it (the
+  // SamplerOptionsKey discipline).
   const bsp::EngineOptions base = PaperClusterOptions();
   bsp::EngineOptions changed = base;
   changed.superstep_path = bsp::SuperstepPath::kSparse;
   EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
   changed.superstep_path = bsp::SuperstepPath::kDense;
-  EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
-  changed = base;
-  changed.dense_path_threshold = 0.31;
   EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
 }
 
@@ -173,12 +170,16 @@ TEST(WhatIfTest, FannedOutSweepIsBitIdenticalToSequential) {
   const AlgorithmConfig config = {
       {"tau", 0.001 / static_cast<double>(WhatIfGraph().num_vertices())}};
   const auto sequential = predictor.PredictAcrossScenarios(
-      "pagerank", WhatIfGraph(), "wiki", config, scenarios, nullptr);
+      "pagerank", WhatIfGraph(), "wiki", config, scenarios);
 
-  for (const uint32_t threads : {1u, 2u, 8u}) {
-    bsp::ThreadPool pool(threads);
-    const auto fanned = predictor.PredictAcrossScenarios(
-        "pagerank", WhatIfGraph(), "wiki", config, scenarios, &pool);
+  PredictionRequest request;
+  request.algorithm = "pagerank";
+  request.graph = &WhatIfGraph();
+  request.dataset = "wiki";
+  request.overrides = config;
+  for (const int threads : {1, 2, 8}) {
+    PredictionService service({options, threads});
+    const auto fanned = service.PredictScenarios(request, scenarios);
     ASSERT_EQ(fanned.size(), sequential.size());
     for (size_t i = 0; i < fanned.size(); ++i) {
       SCOPED_TRACE(scenarios[i].name + " threads=" + std::to_string(threads));
@@ -195,7 +196,7 @@ TEST(WhatIfTest, EmptySweepDrawsNoSample) {
   options.sampler.sampling_ratio = 0.1;
   const uint64_t scans = Graph::FingerprintComputationsForTest();
   const auto reports = Predictor(options).PredictAcrossScenarios(
-      "pagerank", g, "g", {}, {}, nullptr);
+      "pagerank", g, "g", {}, {});
   EXPECT_TRUE(reports.empty());
   // Sampling would have hashed the graph for the sample's cache key.
   EXPECT_EQ(Graph::FingerprintComputationsForTest(), scans);
@@ -208,7 +209,7 @@ TEST(WhatIfTest, ReportsCarryTheScenarioAndDiffer) {
   Predictor predictor(options);
   const std::vector<ClusterScenario>& scenarios = BuiltinScenarios();
   const auto reports = predictor.PredictAcrossScenarios(
-      "connected_components", WhatIfGraph(), "wiki", {}, scenarios, nullptr);
+      "connected_components", WhatIfGraph(), "wiki", {}, scenarios);
   ASSERT_EQ(reports.size(), scenarios.size());
   std::set<double> predictions;
   for (size_t i = 0; i < reports.size(); ++i) {
@@ -260,10 +261,10 @@ TEST(WhatIfTest, HistoryOnlyTrainsTheBaselineScenario) {
   };
   const auto with = Predictor(with_history_options)
                         .PredictAcrossScenarios("topk_ranking", g, "wiki",
-                                                config, scenarios, nullptr);
+                                                config, scenarios);
   const auto without = Predictor(base_options)
                            .PredictAcrossScenarios("topk_ranking", g, "wiki",
-                                                   config, scenarios, nullptr);
+                                                   config, scenarios);
   ASSERT_TRUE(with[0].ok() && with[1].ok());
   ASSERT_TRUE(without[0].ok() && without[1].ok());
 
@@ -432,7 +433,7 @@ TEST(WhatIfTest, SweepMatchesPredictScenariosOnEveryRung) {
     const auto swept = Predictor(options.predictor)
                            .PredictAcrossScenarios("connected_components",
                                                    WhatIfGraph(), "wiki", {},
-                                                   scenarios, nullptr);
+                                                   scenarios);
     PredictionService service(options);
     const auto served = service.PredictScenarios(WikiRequest(), scenarios);
     fail::DisableAll();

@@ -26,9 +26,8 @@
 //   predict_cli bound     --epsilon E [--damping D]
 //
 // Engine flags (run/predict/batch): [--scenario NAME] [--workers N]
-// [--partition hash|range|edge] [--path adaptive|sparse|dense]
-// [--dense-threshold X] — --scenario picks a registry deployment, the
-// others override it.
+// [--partition hash|range|edge] [--path adaptive|sparse|dense] —
+// --scenario picks a registry deployment, the others override it.
 //
 // Robustness flags (predict/batch): [--failpoints name=spec;...]
 // [--retries N] [--deadline S] [--degraded]; batch adds [--fail-fast]
@@ -305,9 +304,6 @@ Result<bsp::EngineOptions> EngineFromFlags(const Flags& flags) {
           "--path expects adaptive|sparse|dense, got '" + path + "'");
     }
   }
-  PREDICT_ASSIGN_OR_RETURN(
-      engine.dense_path_threshold,
-      ParseDoubleFlag(flags, "dense-threshold", engine.dense_path_threshold));
   return engine;
 }
 
@@ -1001,7 +997,6 @@ int Usage() {
       "  bound      --epsilon E [--damping D]\n"
       "engine flags (run/predict/batch): [--scenario NAME] [--workers N]\n"
       "             [--partition hash|range|edge] [--path adaptive|sparse|dense]\n"
-      "             [--dense-threshold X]\n"
       "algorithms:");
   for (const auto& name : RegisteredAlgorithmNames()) {
     std::fprintf(stderr, " %s", name.c_str());
