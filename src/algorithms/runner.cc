@@ -91,7 +91,6 @@ void Registry::RegisterBuiltins() {
             RunPageRank(graph, options.config_overrides, options.engine));
         AlgorithmRunResult result;
         result.stats = std::move(pr.stats);
-        result.ranks = std::move(pr.ranks);
         return result;
       });
 
@@ -156,7 +155,6 @@ void Registry::RegisterBuiltins() {
             RunRwrProximity(graph, options.config_overrides, options.engine));
         AlgorithmRunResult result;
         result.stats = std::move(rwr.stats);
-        result.ranks = std::move(rwr.scores);
         return result;
       });
 }

@@ -32,12 +32,10 @@ struct RunOptions {
   AlgorithmConfig config_overrides;
 };
 
-/// Output of a type-erased run.
+/// Output of a type-erased run: its profile. Algorithm outputs (ranks,
+/// labels, clusters) come from the typed entry points, e.g. RunPageRank.
 struct AlgorithmRunResult {
   bsp::RunStats stats;
-  /// PageRank output when the algorithm produces ranks (used to feed
-  /// top-k sample runs); empty otherwise.
-  std::vector<double> ranks;
 };
 
 /// Signature of a registered algorithm entry point.

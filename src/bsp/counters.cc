@@ -19,6 +19,7 @@ BarrierWork& BarrierWork::operator+=(const BarrierWork& other) {
   slots_swept += other.slots_swept;
   worklist_entries += other.worklist_entries;
   payload_slots += other.payload_slots;
+  messages_staged += other.messages_staged;
   return *this;
 }
 

@@ -64,6 +64,10 @@ struct BarrierWork {
   /// Inbox payload slots written: one per message, or one per messaged
   /// vertex when the program combines.
   uint64_t payload_slots = 0;
+  /// Messages staged through an outbox and drained here: every message
+  /// of a placed or pooled run, none of an inline combining run, which
+  /// folds each message into its inbox when it is sent.
+  uint64_t messages_staged = 0;
 
   BarrierWork& operator+=(const BarrierWork& other);
 };

@@ -11,16 +11,21 @@
 //
 // The hot path is allocation-free in steady state: messages flow through
 // per-worker chunked arenas that are bucket-sorted into contiguous
-// CSR-style slabs at the superstep barrier (bsp/message_store.h), or
-// folded into one slot per vertex for programs that declare a combiner
-// (bsp/vertex_program.h), and each superstep touches only
-// O(active + messaged) vertices via per-worker worklists
-// (bsp/worklist.h) instead of scanning all |V|.
+// CSR-style slabs at the superstep barrier (bsp/message_store.h), and
+// each superstep touches only O(active + messaged) vertices via
+// per-worker worklists (bsp/worklist.h) instead of scanning all |V|. A
+// program that declares a combiner (bsp/vertex_program.h) gets one
+// inbox slot per vertex instead: an inline run (no pool threads) folds
+// each message into its slot when it is sent, so it stages nothing and
+// its barrier only swaps slabs; a pooled run stages in the arenas and
+// its barrier folds them.
 //
 // Host threads only accelerate the simulation — simulated time, counters
 // and results are bit-identical for any thread count. Per vertex,
 // messages are delivered ordered by sender worker ascending and, within
-// one sender, by send-call order.
+// one sender, by send-call order. An inline run computes workers in
+// ascending order and each worker's vertices in ascending order, so its
+// send order is that delivery order.
 
 #ifndef PREDICT_BSP_ENGINE_H_
 #define PREDICT_BSP_ENGINE_H_
@@ -157,9 +162,9 @@ class EngineState {
   /// `Program` is the concrete program type when the caller has one —
   /// marking the class `final` lets the compiler devirtualize and inline
   /// Compute into the superstep loop (all in-tree algorithms do), and a
-  /// Combine() it declares selects the combined barrier builds. Calling
-  /// through the VertexProgram<V, M> base keeps virtual dispatch and
-  /// delivers every message; results are identical either way.
+  /// Combine() it declares selects the folded inboxes. Calling through
+  /// the VertexProgram<V, M> base keeps virtual dispatch and delivers
+  /// every message; results are identical either way.
   template <typename Program>
   Result<RunStats> Run(Program* program);
 
@@ -174,6 +179,36 @@ class EngineState {
   void ComputeWorkerDense(WorkerId w, Program* program);
   bool NextSuperstepDense(uint64_t survivors, uint64_t messages) const;
 
+  using CombineFn = void (*)(const VertexProgram<V, M>*, M&, const M&);
+
+  /// Program::Combine behind a plain function pointer, for the send path:
+  /// VertexContext does not know the concrete program type.
+  template <typename Program>
+  static void CombineAs(const VertexProgram<V, M>* program, M& into,
+                        const M& message) {
+    static_cast<const Program*>(program)->Combine(into, message);
+  }
+
+  /// Folds a message into its target's next inbox as it is sent (the
+  /// inline combining path; see Run).
+  template <typename P>
+  void FoldOnSend(WorkerId dest, uint32_t target_local, P&& payload) {
+    const CombineFn combine = combine_;
+    const VertexProgram<V, M>* const program = program_;
+    messages_.FoldOnSend(dest, target_local, std::forward<P>(payload),
+                         [=](M& into, const M& message) {
+                           combine(program, into, message);
+                         });
+  }
+
+  /// The scatter loop of SendMessageToAllNeighbors: calls
+  /// sink(dest worker, target local index) for every out-neighbor of
+  /// `id` in adjacency order, and returns how many of them `self` owns.
+  /// `sink` is taken by value, and should capture by value what it
+  /// reads per message, so the loop keeps it in registers.
+  template <typename Sink>
+  uint64_t ScatterToNeighbors(WorkerId self, VertexId id, Sink sink) const;
+
   const Graph* graph_;
   VertexProgram<V, M>* program_;
   EngineOptions options_;
@@ -186,6 +221,9 @@ class EngineState {
   std::vector<uint8_t> active_;
   MessageStore<M> messages_;
   std::vector<WorkerWorklist> worklists_;  // [worker]
+  /// Set by Run when sends fold straight into the next inboxes: the pool
+  /// runs inline and the concrete program declares Combine.
+  CombineFn combine_ = nullptr;
   std::vector<WorkerCounters> counters_;
   /// Simulated vertex-state bytes per worker, maintained incrementally:
   /// updated only for vertices whose value was written this superstep
@@ -292,6 +330,35 @@ bool EngineState<V, M>::NextSuperstepDense(uint64_t survivors,
 }
 
 template <typename V, typename M>
+template <typename Sink>
+uint64_t EngineState<V, M>::ScatterToNeighbors(WorkerId self, VertexId id,
+                                               Sink sink) const {
+  uint64_t local = 0;
+  // ForEachOutNeighbor is the block-wise decode path on compressed
+  // graphs and a plain span walk otherwise — the scatter loop never
+  // materializes the adjacency list.
+  if (partition_.is_modulo()) {
+    // Hash fast path: ownership is two multiplies per edge — the mode
+    // check is hoisted out of the loop so the seed scheme keeps its
+    // table-free inner loop.
+    const FastDiv divider = partition_.divider();  // by value
+    graph_->ForEachOutNeighbor(id, [&](VertexId target) {
+      const uint32_t target_local = divider.Div(target);
+      const WorkerId dest_worker = target - target_local * divider.divisor();
+      local += (dest_worker == self);
+      sink(dest_worker, target_local);
+    });
+  } else {
+    graph_->ForEachOutNeighbor(id, [&](VertexId target) {
+      const PartitionMap::Location loc = partition_.Locate(target);
+      local += (loc.worker == self);
+      sink(loc.worker, loc.local);
+    });
+  }
+  return local;
+}
+
+template <typename V, typename M>
 template <typename Program>
 Result<RunStats> EngineState<V, M>::Run(Program* program) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -301,6 +368,22 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
 
   // Partition the vertex space ("the read phase assigns partitions").
   partition_ = PartitionMap::Build(options_.partition, num_workers_, *graph_);
+
+  // A program whose concrete type declares Combine() gets folded inboxes:
+  // one slot per messaged vertex, the left fold of its messages in
+  // delivery order. Resolved at compile time; calling through the
+  // VertexProgram<V, M> base finds no Combine and places every message.
+  // An inline pool runs workers 0..W-1 in turn, each computing its
+  // vertices in ascending order, so send order already is delivery order
+  // and each message is folded as it is sent. A pooled run computes
+  // workers concurrently, so it stages in outboxes and its barrier folds
+  // them.
+  constexpr bool kCombines = requires(const Program& p, M& into, const M& m) {
+    p.Combine(into, m);
+  };
+  if constexpr (kCombines) {
+    if (pool_->num_threads() == 0) combine_ = &CombineAs<Program>;
+  }
 
   RunStats stats;
   stats.worker_outbound_edges = partition_.OutboundEdges(*graph_);
@@ -327,7 +410,7 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
   // vertices; the state-bytes accumulators start from the initial values.
   values_.resize(n);
   active_.assign(n, 1);
-  messages_.Init(&partition_);
+  messages_.Init(&partition_, kCombines, combine_ != nullptr);
   worklists_.clear();
   worklists_.resize(num_workers_);
   state_bytes_.assign(num_workers_, 0);
@@ -354,14 +437,6 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
   // Everything is active at superstep 0, so kAdaptive starts dense (the
   // decision rule sees survivors = |V|, messages = 0).
   bool dense_now = NextSuperstepDense(n, 0);
-
-  // A program whose concrete type declares Combine() gets combined
-  // barrier builds: one inbox slot per messaged vertex, folded in
-  // delivery order. Resolved at compile time; calling through the
-  // VertexProgram<V, M> base finds no Combine and places every message.
-  constexpr bool kCombines = requires(const Program& p, M& into, const M& m) {
-    p.Combine(into, m);
-  };
 
   for (superstep_ = 0; superstep_ < options_.max_supersteps; ++superstep_) {
     const auto superstep_start = std::chrono::steady_clock::now();
@@ -410,30 +485,35 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
     }
     const bool next_dense = NextSuperstepDense(active_count, messages_sent);
 
-    // Messaging phase: build each worker's incoming slab from its
-    // outboxes, shaped for whichever path the NEXT superstep runs. The
-    // dense build skips ordering the messaged vertices and the worklist
-    // entirely; the sparse build orders them and rebuilds the worklist
-    // (from survivor lists, or from the active flags when this superstep
-    // ran dense). Each worker tallies that work in barrier_work_.
+    // Messaging phase: build each worker's incoming slab, shaped for
+    // whichever path the NEXT superstep runs. A placed build sorts the
+    // outboxes into the slab. A folded one swaps in the slab the sends
+    // folded into (inline), or drains the outboxes through the same fold
+    // (pooled). The dense shape skips ordering the messaged vertices and
+    // the worklist entirely; the sparse shape orders them and rebuilds
+    // the worklist (from survivor lists, or from the active flags when
+    // this superstep ran dense). Each worker tallies that work in
+    // barrier_work_.
     pool_->ParallelFor(num_workers_, [&](uint64_t w64) {
       const WorkerId w = static_cast<WorkerId>(w64);
       BarrierWork& work = barrier_work_[w];
       work = BarrierWork{};
-      if (next_dense) {
-        if constexpr (kCombines) {
-          messages_.BuildIncomingSlabDense(w, &work, *program);
-        } else {
-          messages_.BuildIncomingSlabDense(w, &work);
-        }
-        return;
-      }
       WorkerWorklist& worklist = worklists_[w];
+      std::vector<VertexId>* const messaged =
+          next_dense ? nullptr : worklist.messaged();
       if constexpr (kCombines) {
-        messages_.BuildIncomingSlab(w, worklist.messaged(), &work, *program);
+        if (combine_ != nullptr) {
+          messages_.SwapInFolded(w, messaged, &work);
+        } else {
+          messages_.FoldStaged(w, messaged, &work,
+                               [&](M& into, const M& message) {
+                                 program->Combine(into, message);
+                               });
+        }
       } else {
-        messages_.BuildIncomingSlab(w, worklist.messaged(), &work);
+        messages_.PlaceStaged(w, messaged, &work);
       }
+      if (next_dense) return;
       if (dense_now) {
         worklist.RebuildFromFlags(w, partition_, active_.data());
         work.slots_swept += partition_.NumOwned(w);
@@ -642,8 +722,12 @@ inline void VertexContext<V, M>::SendMessage(VertexId target, M message) {
     counters.remote_messages++;
     counters.remote_message_bytes += bytes;
   }
-  engine->messages_.Append(worker_, loc.worker, loc.local,
-                           std::move(message));
+  if (engine->combine_ != nullptr) {
+    engine->FoldOnSend(loc.worker, loc.local, std::move(message));
+  } else {
+    engine->messages_.Append(worker_, loc.worker, loc.local,
+                             std::move(message));
+  }
 }
 
 template <typename V, typename M>
@@ -652,34 +736,21 @@ inline void VertexContext<V, M>::SendMessageToAllNeighbors(const M& message) {
   // function of the message value), saving a virtual call per edge in
   // broadcast-style programs.
   auto* engine = engine_;
-  const Graph& graph = *engine->graph_;
-  const PartitionMap& partition = engine->partition_;
   const uint64_t bytes = engine->program_->MessageBytes(message);
-  auto* const row = engine->messages_.SenderRow(worker_);
-  const WorkerId self = worker_;
   uint64_t local = 0;
-  // ForEachOutNeighbor is the block-wise decode path on compressed
-  // graphs and a plain span walk otherwise — the scatter loop never
-  // materializes the adjacency list.
-  if (partition.is_modulo()) {
-    // Hash fast path: ownership is two multiplies per edge — the mode
-    // check is hoisted out of the loop so the seed scheme keeps its
-    // table-free inner loop.
-    const internal::FastDiv divider = partition.divider();  // by value
-    graph.ForEachOutNeighbor(id_, [&](VertexId target) {
-      const uint32_t target_local = divider.Div(target);
-      const WorkerId dest_worker = target - target_local * divider.divisor();
-      local += (dest_worker == self);
-      row[dest_worker].PushBack(target_local, M(message));
-    });
+  if (engine->combine_ != nullptr) {
+    local = engine->ScatterToNeighbors(
+        worker_, id_, [engine, &message](WorkerId dest, uint32_t local_id) {
+          engine->FoldOnSend(dest, local_id, message);
+        });
   } else {
-    graph.ForEachOutNeighbor(id_, [&](VertexId target) {
-      const PartitionMap::Location loc = partition.Locate(target);
-      local += (loc.worker == self);
-      row[loc.worker].PushBack(loc.local, M(message));
-    });
+    auto* const row = engine->messages_.SenderRow(worker_);
+    local = engine->ScatterToNeighbors(
+        worker_, id_, [row, &message](WorkerId dest, uint32_t local_id) {
+          row[dest].PushBack(local_id, M(message));
+        });
   }
-  const uint64_t remote = graph.out_degree(id_) - local;
+  const uint64_t remote = engine->graph_->out_degree(id_) - local;
   WorkerCounters& counters = engine->counters_[worker_];
   counters.local_messages += local;
   counters.local_message_bytes += local * bytes;

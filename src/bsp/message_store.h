@@ -9,23 +9,28 @@
 //    worker). SendMessage appends to the sender's arena with no locking
 //    (each arena is written by exactly one worker) and no reallocation
 //    copies (chunks are stable once allocated, and are retained across
-//    supersteps).
+//    supersteps). Chunks are allocated on first use, so a run that
+//    stages nothing allocates none.
 //
-//  * Incoming slabs: at the superstep barrier each destination worker
-//    gathers everything queued for it into one contiguous slab, so
-//    Compute reads a vertex's inbox as a contiguous std::span with zero
-//    per-vertex allocation. The slab is built one of two ways:
+//  * Incoming slabs: each destination worker reads its inboxes from one
+//    contiguous slab, so Compute sees a vertex's inbox as a contiguous
+//    std::span with zero per-vertex allocation. The slab is built one of
+//    two ways:
 //
-//      - Placed (any program): a stable two-pass counting sort. Pass 1
-//        counts messages per target and discovers the messaged vertices;
-//        a prefix sum gives each a payload range; pass 2 moves every
-//        payload into its range.
-//      - Combined (programs whose concrete type declares Combine(), see
-//        bsp/vertex_program.h): one pass. Every owned vertex has one
-//        payload slot at its local index; a target's first message
-//        claims it and every later one is folded into it with Combine,
-//        so the inbox Compute sees is the left fold of its messages.
-//        The dense variant keeps no messaged list at all.
+//      - Placed (any program): at the barrier, a stable two-pass
+//        counting sort of the outboxes. Pass 1 counts messages per
+//        target and discovers the messaged vertices; a prefix sum gives
+//        each a payload range; pass 2 moves every payload into its range.
+//      - Folded (programs whose concrete type declares Combine(), see
+//        bsp/vertex_program.h): every owned vertex has one payload slot
+//        at its local index; a target's first message claims it and every
+//        later one is folded into it with Combine, so the inbox Compute
+//        sees is the left fold of its messages. An inline run (no pool
+//        threads) folds each message when it is sent, into a second
+//        per-worker slab, so it stages nothing and its barrier only swaps
+//        the two slabs. A pooled run computes workers concurrently, so it
+//        stages in outboxes, and its barrier drains them through the same
+//        fold into the slab Compute has finished reading.
 //
 // Vertex ownership and local addressing come from a bsp::PartitionMap
 // (bsp/partition.h): the store is agnostic to the strategy and only
@@ -34,9 +39,12 @@
 //
 // Delivery order is the engine's determinism contract: per vertex,
 // messages appear ordered by sender worker ascending, and within one
-// sender by send-call order. Both builds walk the senders in ascending
-// order and each outbox in append order, so the placed inbox lists, and
-// the combined slot folds, exactly that order for any host thread count.
+// sender by send-call order. The barrier builds walk the senders in
+// ascending order and each outbox in append order. An inline run sends
+// in that order already: its pool runs workers 0..W-1 in turn
+// (ThreadPool::ParallelFor) and each computes its vertices in ascending
+// order. So the placed inbox lists, and the folded slot holds, exactly
+// that order for any host thread count.
 //
 // The slab's per-vertex offset entries are epoch-stamped so that only
 // O(messaged vertices) entries are touched per superstep: a stale entry
@@ -61,7 +69,8 @@
 
 namespace predict::bsp::internal {
 
-/// \brief Per-worker mailbox arenas + barrier-time CSR slabs for one run.
+/// \brief Per-worker mailbox arenas + CSR or folded inbox slabs for one
+/// run.
 ///
 /// Within a worker a vertex is addressed by its partition-map local
 /// index. Offsets are 32-bit: a single worker receiving >= 2^32 messages
@@ -150,16 +159,27 @@ class MessageStore {
   };
 
   /// `partition` is borrowed and must outlive the store (the engine owns
-  /// both for the duration of one run).
-  void Init(const PartitionMap* partition) {
+  /// both for the duration of one run). `folded`: the program declares a
+  /// combiner, so each inbox is one payload slot per owned vertex.
+  /// `fold_on_send`: sends fold into a second slab per worker (an inline
+  /// run of such a program).
+  void Init(const PartitionMap* partition, bool folded, bool fold_on_send) {
     partition_ = partition;
     num_workers_ = partition->num_workers();
     outboxes_.clear();
     outboxes_.resize(static_cast<size_t>(num_workers_) * num_workers_);
     slabs_.clear();
     slabs_.resize(num_workers_);
+    next_.clear();
+    next_.resize(fold_on_send ? num_workers_ : 0);
     for (WorkerId w = 0; w < num_workers_; ++w) {
-      slabs_[w].entries.assign(partition->NumOwned(w), SlabEntry{});
+      const uint32_t owned = partition->NumOwned(w);
+      slabs_[w].entries.assign(owned, SlabEntry{});
+      if (folded) slabs_[w].payload.resize(owned);
+      if (fold_on_send) {
+        next_[w].entries.assign(owned, SlabEntry{});
+        next_[w].payload.resize(owned);
+      }
     }
   }
 
@@ -180,53 +200,73 @@ class MessageStore {
     return outboxes_.data() + static_cast<size_t>(sender) * num_workers_;
   }
 
-  /// Barrier phase for a sparse next superstep: places everything
-  /// queued for `w` into w's slab, clears the consumed outboxes, and
-  /// fills *messaged with the global ids of the owned vertices that
-  /// received at least one message, ascending (the worklist's input).
-  /// Safe to call concurrently for distinct `w`.
-  void BuildIncomingSlab(WorkerId w, std::vector<VertexId>* messaged,
-                         BarrierWork* work) {
+  /// Folds `payload` into the next superstep's inbox of the vertex with
+  /// local index `target_local` on worker `dest` as it is sent (an inline
+  /// run; see FoldCursor). Not thread-safe.
+  template <typename P, typename Combine>
+  void FoldOnSend(WorkerId dest, uint32_t target_local, P&& payload,
+                  const Combine& combine) {
+    FoldCursor(next_[dest]).Fold(target_local, std::forward<P>(payload),
+                                 combine);
+  }
+
+  /// The inline folded barrier: swaps w's folded slab in as its inbox and
+  /// resets the other to take the next superstep's folds. For a sparse
+  /// next superstep, *messaged receives the global ids of the owned
+  /// vertices that received at least one message, ascending (the
+  /// worklist's input); a dense one passes null and needs no list.
+  void SwapInFolded(WorkerId w, std::vector<VertexId>* messaged,
+                    BarrierWork* work) {
+    std::swap(slabs_[w], next_[w]);
+    Reset(next_[w]);
+    FinishFolded(w, messaged, work);
+  }
+
+  /// The pooled folded barrier: the compute phase is over, so w's slab
+  /// is reset and everything staged for `w` is drained into it through
+  /// the same fold, senders ascending and each outbox in append order;
+  /// `messaged` as for SwapInFolded. Safe to call concurrently for
+  /// distinct `w` (so `combine` must only touch its arguments).
+  template <typename Combine>
+  void FoldStaged(WorkerId w, std::vector<VertexId>* messaged,
+                  BarrierWork* work, const Combine& combine) {
+    Reset(slabs_[w]);
+    FoldCursor cursor(slabs_[w]);
+    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
+      Outbox& box = OutboxFor(sender, w);
+      work->messages_staged += box.size();
+      box.ForEachMessage([&](uint32_t target_local, M& payload) {
+        cursor.Fold(target_local, std::move(payload), combine);
+      });
+      box.Clear();
+    }
+    FinishFolded(w, messaged, work);
+  }
+
+  /// The placed barrier: places everything staged for `w` into w's slab
+  /// and clears the consumed outboxes. For a sparse next superstep,
+  /// *messaged receives the messaged vertices' global ids, ascending. A
+  /// dense next superstep (null `messaged`) enumerates owned vertices
+  /// itself, so it needs no worklist handoff and the messaged-vertex
+  /// ORDER carries no meaning either: the slab only requires each
+  /// messaged vertex to own a disjoint payload range. The discovery-order
+  /// list is then the whole bookkeeping, O(messages + messaged) with no
+  /// O(owned) pass and no sort, which is what BM_DenseSuperstep
+  /// measures. Safe to call concurrently for distinct `w`.
+  void PlaceStaged(WorkerId w, std::vector<VertexId>* messaged,
+                   BarrierWork* work) {
+    if (messaged == nullptr) {
+      std::vector<VertexId>& touched = slabs_[w].touched;
+      CountMessages(w, &touched);
+      PlaceCounted(w, touched, work);
+      return;
+    }
     CountMessages(w, messaged);
     // Ordered before placement, so payload ranges follow the ascending
     // order the worklist computes in.
     OrderMessaged(w, messaged, work);
     PlaceCounted(w, *messaged, work);
     ToGlobalIds(w, messaged);
-  }
-
-  /// BuildIncomingSlab for a program that declares a combiner:
-  /// `combiner.Combine(into, message)` folds each message into its
-  /// target's one payload slot, in delivery order. Same messaged list,
-  /// same concurrency contract (Combine runs concurrently for distinct
-  /// `w`, so it must only touch its arguments).
-  template <typename Combiner>
-  void BuildIncomingSlab(WorkerId w, std::vector<VertexId>* messaged,
-                         BarrierWork* work, const Combiner& combiner) {
-    CombineMessages(w, messaged, work, combiner);
-    OrderMessaged(w, messaged, work);
-    ToGlobalIds(w, messaged);
-  }
-
-  /// Dense-superstep variant: the next superstep enumerates owned
-  /// vertices itself, so no worklist handoff is needed, and that makes
-  /// the messaged-vertex ORDER unnecessary too. The slab only requires
-  /// each messaged vertex to own a disjoint payload range; where the
-  /// ranges sit carries no meaning. So the discovery-order list is the
-  /// whole bookkeeping: O(messages + messaged) with no O(owned) pass and
-  /// no sort, which is what BM_DenseSuperstep measures. Safe to call
-  /// concurrently for distinct `w`.
-  void BuildIncomingSlabDense(WorkerId w, BarrierWork* work) {
-    std::vector<VertexId>& touched = slabs_[w].touched;
-    CountMessages(w, &touched);
-    PlaceCounted(w, touched, work);
-  }
-
-  /// BuildIncomingSlabDense for a program that declares a combiner.
-  template <typename Combiner>
-  void BuildIncomingSlabDense(WorkerId w, BarrierWork* work,
-                              const Combiner& combiner) {
-    CombineMessages(w, nullptr, work, combiner);
   }
 
   /// MessagesFor by precomputed local index — the dense compute path
@@ -266,22 +306,77 @@ class MessageStore {
   };
 
   /// One worker's incoming messages, grouped by target vertex. Compute
-  /// at superstep S reads the slab built at the end of superstep S-1;
-  /// the phases are separated by a ParallelFor barrier, so a single
-  /// buffer per worker suffices and is rebuilt in place.
-  struct Slab {
-    /// Placed: every message, grouped by target. Combined: one folded
-    /// message per owned vertex, at its local index.
+  /// at superstep S reads the slab built at the end of superstep S-1.
+  /// The barrier builds run after the compute phase's ParallelFor
+  /// barrier, so one buffer per worker suffices and is rebuilt in place;
+  /// folding on send writes a second one (next_) while Compute reads
+  /// this. Cache-line aligned: pooled barriers write neighbouring
+  /// workers' slabs from different threads.
+  struct alignas(64) Slab {
+    /// Placed: every message, grouped by target. Folded: one message per
+    /// owned vertex, at its local index.
     std::vector<M> payload;
     std::vector<SlabEntry> entries;
-    /// Placed dense build's scratch: first-touched locals in discovery
-    /// order (capacity retained across supersteps).
+    /// First-touched locals in discovery order: the placed dense build's
+    /// scratch, and the folded slab's messaged list (capacity retained
+    /// across supersteps).
     std::vector<VertexId> touched;
-    uint32_t stamp = 0;      // incremented per slab build
+    uint32_t stamp = 0;  // incremented per slab build or reset
   };
 
   Outbox& OutboxFor(WorkerId sender, WorkerId dest) {
     return outboxes_[static_cast<size_t>(sender) * num_workers_ + dest];
+  }
+
+  /// The fold, shared by both folded builds. A cursor copies one slab's
+  /// stamp and array pointers, so a drain loop keeps them in registers.
+  /// The first message the slab takes for a vertex claims the vertex's
+  /// slot (its local index) and records it as messaged; every later one
+  /// goes through combine(slot, payload). Called in delivery order, the
+  /// slot ends as the left fold of the vertex's messages.
+  class FoldCursor {
+   public:
+    explicit FoldCursor(Slab& slab)
+        : entries_(slab.entries.data()),
+          payload_(slab.payload.data()),
+          touched_(&slab.touched),
+          stamp_(slab.stamp) {}
+
+    template <typename P, typename Combine>
+    void Fold(uint32_t target_local, P&& payload, const Combine& combine) {
+      SlabEntry& entry = entries_[target_local];
+      M& slot = payload_[target_local];
+      if (entry.epoch == stamp_) {
+        combine(slot, payload);
+        return;
+      }
+      entry = {stamp_, target_local, target_local + 1};
+      slot = std::forward<P>(payload);
+      touched_->push_back(target_local);
+    }
+
+   private:
+    SlabEntry* const entries_;
+    M* const payload_;
+    std::vector<VertexId>* const touched_;
+    const uint32_t stamp_;
+  };
+
+  /// Empties a folded slab: every entry goes stale.
+  static void Reset(Slab& slab) {
+    ++slab.stamp;
+    slab.touched.clear();
+  }
+
+  /// The end of both folded builds, on w's freshly folded slab.
+  void FinishFolded(WorkerId w, std::vector<VertexId>* messaged,
+                    BarrierWork* work) {
+    Slab& slab = slabs_[w];
+    work->payload_slots += slab.touched.size();
+    if (messaged == nullptr) return;
+    messaged->swap(slab.touched);
+    OrderMessaged(w, messaged, work);
+    ToGlobalIds(w, messaged);
   }
 
   /// Pass 1 of the placed build: per-vertex counts (accumulated in
@@ -334,45 +429,7 @@ class MessageStore {
       box.Clear();
     }
     work->payload_slots += running;
-  }
-
-  /// The combined build: one pass in delivery order. Each owned vertex
-  /// has a fixed payload slot at its local index, so the next compute
-  /// phase reads entries and payloads as two streams in the same order.
-  /// A target's first message claims the slot and every later one is
-  /// folded into it. Appends the messaged locals to *touched in
-  /// discovery order unless `touched` is null (dense next superstep).
-  template <typename Combiner>
-  void CombineMessages(WorkerId w, std::vector<VertexId>* touched,
-                       BarrierWork* work, const Combiner& combiner) {
-    Slab& slab = slabs_[w];
-    SlabEntry* const entries = slab.entries.data();
-    const uint32_t stamp = ++slab.stamp;
-    if (touched != nullptr) touched->clear();
-    if (slab.payload.size() < slab.entries.size()) {
-      slab.payload.resize(slab.entries.size());
-    }
-
-    M* const payload_out = slab.payload.data();
-    uint64_t slots = 0;
-    for (WorkerId sender = 0; sender < num_workers_; ++sender) {
-      Outbox& box = OutboxFor(sender, w);
-      box.ForEachMessage([&](uint32_t target_local, M& payload) {
-        SlabEntry& entry = entries[target_local];
-        if (entry.epoch == stamp) {
-          combiner.Combine(payload_out[target_local], payload);
-          return;
-        }
-        entry.epoch = stamp;
-        entry.begin = target_local;
-        entry.end = target_local + 1;
-        payload_out[target_local] = std::move(payload);
-        ++slots;
-        if (touched != nullptr) touched->push_back(target_local);
-      });
-      box.Clear();
-    }
-    work->payload_slots += slots;
+    work->messages_staged += running;
   }
 
   /// Puts the discovery-order messaged locals in ascending order, which
@@ -408,7 +465,8 @@ class MessageStore {
   const PartitionMap* partition_ = nullptr;
   uint32_t num_workers_ = 0;
   std::vector<Outbox> outboxes_;  // [sender * W + dest]
-  std::vector<Slab> slabs_;       // [dest]
+  std::vector<Slab> slabs_;       // [dest], read by Compute
+  std::vector<Slab> next_;        // [dest], folded into on send, or empty
 };
 
 }  // namespace predict::bsp::internal

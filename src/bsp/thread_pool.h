@@ -2,7 +2,8 @@
 //
 // The BSP engine runs simulated workers on host threads. Simulated time
 // comes from the cost clock, never from wall time, so results are
-// bit-identical for any thread count (including 0 = inline).
+// bit-identical for any thread count (including 0 = inline, which runs
+// indices in ascending order).
 //
 // Index claiming is chunked: each participant grabs a grain-sized range
 // of indices with one atomic fetch_add instead of taking a mutex per
@@ -35,7 +36,12 @@ class ThreadPool {
 
   /// Invokes fn(i) for every i in [0, count), distributing chunks of
   /// indices across the pool; blocks until all invocations complete. fn
-  /// must be safe to call concurrently for distinct i.
+  /// must be safe to call concurrently for distinct i. With no threads,
+  /// fn runs on the caller for i = 0, 1, ..., count - 1 in that order.
+  /// That order is part of the engine's determinism contract: an inline
+  /// run computes its workers in ascending order, so its messages are
+  /// sent in delivery order and a combining program folds each as it is
+  /// sent (bsp/engine.h).
   void ParallelFor(uint64_t count, const std::function<void(uint64_t)>& fn);
 
   uint32_t num_threads() const { return static_cast<uint32_t>(threads_.size()); }

@@ -128,19 +128,22 @@ class MasterContext {
 ///   void Combine(M& into, const M& message) const;
 ///
 /// and Engine::Run, given a pointer to that type, then folds each
-/// vertex's inbox at the barrier into one message: the first message
-/// delivered, then Combine(into, next) for every later one in delivery
-/// order (sender worker ascending, then send order). Compute sees a
-/// one-element inbox. The contract: Compute's result on the folded inbox
-/// must equal its result on the full inbox, bit for bit, which holds when
-/// Compute's own fold over its inbox is that same left fold (PageRank's
-/// sum, connected components' min, neighborhood's OR). Combine runs
-/// concurrently for different destination workers, so it must only
-/// touch its arguments. Nothing simulated moves: counters, message bytes,
-/// simulated time and the memory model are all charged at send time.
-/// The hook is deliberately not virtual — calling Run through a
-/// VertexProgram<V, M>* finds no Combine and delivers every message,
-/// which is the general path and the combiner's reference.
+/// vertex's inbox into one message: the first message delivered, then
+/// Combine(into, next) for every later one in delivery order (sender
+/// worker ascending, then send order). Compute sees a one-element inbox.
+/// An inline run (no pool threads) sends in delivery order, so it folds
+/// each message into its target's inbox when it is sent; a pooled run
+/// folds the staged messages at the barrier. The contract: Compute's
+/// result on the folded inbox must equal its result on the full inbox,
+/// bit for bit, which holds when Compute's own fold over its inbox is
+/// that same left fold (PageRank's sum, connected components' min,
+/// neighborhood's OR). Combine runs concurrently for different
+/// destination workers, so it must only touch its arguments. Nothing
+/// simulated moves: counters, message bytes, simulated time and the
+/// memory model are all charged at send time. The hook is deliberately
+/// not virtual — calling Run through a VertexProgram<V, M>* finds no
+/// Combine and delivers every message, which is the general path and
+/// the combiner's reference.
 template <typename V, typename M>
 class VertexProgram {
  public:

@@ -16,7 +16,8 @@
 //                    in CSR = the parent's out CSR verbatim.
 //   ToUndirected     out bucket v = sorted unique union of out(v) and
 //                    in(v); the symmetric edge set makes the in CSR a
-//                    verbatim copy of the out CSR.
+//                    verbatim copy of the out CSR. Unweighted inputs
+//                    build it in linear time, with no sort.
 
 #include "graph/transforms.h"
 
@@ -72,35 +73,48 @@ Result<Graph> ToUndirected(const Graph& graph) {
   ReverseAdjacency rev;
   if (weighted) rev = ReverseWithWeights(graph);
 
-  // Per-vertex: gather out- and in-neighbors, sort, dedup. The stable
-  // sort keeps the first-gathered edge of every unordered pair, so a
-  // forward edge's weight wins over its reverse companion's ("first
-  // occurrence wins"). Self-loops contribute one candidate only.
   std::vector<uint64_t> offsets(v_count + 1, 0);
   std::vector<VertexId> targets;
-  targets.reserve(graph.num_edges() * 2);
   std::vector<float> weights;
-  if (weighted) weights.reserve(graph.num_edges() * 2);
-
   bool any_weight = false;
   if (!weighted) {
-    std::vector<VertexId> scratch;
-    std::vector<VertexId> decode;
+    // Scatter each u into the bucket of every out- and in-neighbor, u
+    // ascending: every bucket then fills in sorted order, with each u's
+    // copies back to back (multi-edges, reciprocal pairs and a self-loop,
+    // which is in both lists), so dedup compares with the bucket's last
+    // entry only. A bucket holds at most out_degree + in_degree entries;
+    // the buckets are compacted in place afterwards, so the one 2|E|
+    // array is the whole allocation.
     for (VertexId v = 0; v < v_count; ++v) {
-      scratch.clear();
-      const auto out = graph.OutNeighborsInto(v, &decode);
-      scratch.insert(scratch.end(), out.begin(), out.end());
-      graph.ForEachInSource(v, [&](VertexId u) {
-        if (u != v) scratch.push_back(u);  // self-loop contributed above
-      });
-      std::sort(scratch.begin(), scratch.end());
-      for (size_t i = 0; i < scratch.size(); ++i) {
-        if (i != 0 && scratch[i] == scratch[i - 1]) continue;
-        targets.push_back(scratch[i]);
-      }
-      offsets[v + 1] = targets.size();
+      offsets[v + 1] = offsets[v] + graph.out_degree(v) + graph.in_degree(v);
     }
+    targets.resize(offsets[v_count]);
+    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (VertexId u = 0; u < v_count; ++u) {
+      const auto append = [&](VertexId w) {
+        uint64_t& end = cursor[w];
+        if (end != offsets[w] && targets[end - 1] == u) return;
+        targets[end++] = u;
+      };
+      graph.ForEachOutNeighbor(u, append);
+      graph.ForEachInSource(u, append);
+    }
+    uint64_t size = 0;
+    for (VertexId v = 0; v < v_count; ++v) {
+      const uint64_t begin = offsets[v];
+      offsets[v] = size;
+      for (uint64_t i = begin; i < cursor[v]; ++i) targets[size++] = targets[i];
+    }
+    offsets[v_count] = size;
+    targets.resize(size);
   } else {
+    // Per-vertex: gather out- and in-neighbors, stable sort, dedup. The
+    // stable sort keeps the first-gathered edge of every unordered pair,
+    // so a forward edge's weight wins over its reverse companion's
+    // ("first occurrence wins"). Self-loops contribute one candidate
+    // only.
+    targets.reserve(graph.num_edges() * 2);
+    weights.reserve(graph.num_edges() * 2);
     std::vector<std::pair<VertexId, float>> scratch;
     std::vector<VertexId> decode;
     for (VertexId v = 0; v < v_count; ++v) {

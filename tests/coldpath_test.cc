@@ -212,6 +212,20 @@ TEST(ColdPathTransforms, ToUndirectedMatchesReference) {
   }
 }
 
+// The unweighted build reads its input through ForEachOutNeighbor and
+// ForEachInSource, which decode compressed storage block-wise; the
+// result must not depend on how the input stores its edges.
+TEST(ColdPathTransforms, ToUndirectedOnCompressedInputMatchesReference) {
+  const Graph messy = MessyGraph(300, 2500, 13, false);
+  const Graph compressed = Graph::WithCompressedEdges(messy);
+  ASSERT_TRUE(compressed.edges_compressed());
+  auto actual = ToUndirected(compressed);
+  auto expected = refimpl::ToUndirected(messy);
+  ASSERT_TRUE(actual.ok());
+  ASSERT_TRUE(expected.ok());
+  ExpectGraphsIdentical(*actual, *expected);
+}
+
 TEST(ColdPathTransforms, ToUndirectedMatchesReferenceOnSymmetricWeights) {
   // Weighted equivalence needs pair-symmetric weights: when (u,v) and
   // (v,u) disagree, the seed's non-stable sort left the surviving weight

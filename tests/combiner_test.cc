@@ -1,14 +1,16 @@
 // Message combiners and the kernels' fast paths, pinned bit for bit.
 //
 // A program whose concrete type declares Combine() gets one inbox slot
-// per messaged vertex, folded in delivery order at the barrier; run
-// through the VertexProgram<V, M> base pointer, the same program gets
-// every message placed. The combiner contract says Compute's fold over
-// its inbox equals the left fold of Combine, and every counter is
-// charged at send time, so the two runs must agree on every final
-// value and the whole run fingerprint, for every superstep path, host
-// thread count and partitioner. The counted barrier work is where they
-// differ, and one test pins that saving.
+// per messaged vertex, folded in delivery order (as each message is sent
+// on an inline run, at the barrier on a pooled one); run through the
+// VertexProgram<V, M> base pointer, the same program gets every message
+// placed. The combiner contract says Compute's fold over its inbox
+// equals the left fold of Combine, and every counter is charged at send
+// time, so the two runs must agree on every final value and the whole
+// run fingerprint, for every superstep path, host thread count and
+// partitioner. The counted barrier work is where they differ: the
+// messages staged through an outbox, checked across that matrix, and
+// the payload slots written, pinned by one test.
 //
 // The kernel goldens pin semi-clustering's and top-k's final values.
 // Semi-clustering ranks its candidates through handles instead of
@@ -133,6 +135,21 @@ void ExpectCombinerTransparent(const Graph& graph, const Make& make) {
                   FingerprintRunStats(*placed_stats));
         EXPECT_EQ(FingerprintBytes(combined.vertex_values()),
                   FingerprintBytes(placed.vertex_values()));
+        // Each barrier drains what its superstep sent: an inline combined
+        // run folds every message as it is sent and stages none, a pooled
+        // or placed run stages every one.
+        ASSERT_EQ(combined_stats->num_supersteps(),
+                  placed_stats->num_supersteps());
+        for (int s = 0; s < placed_stats->num_supersteps(); ++s) {
+          const uint64_t messages =
+              placed_stats->supersteps[s].Totals().total_messages();
+          EXPECT_EQ(combined_stats->supersteps[s].barrier_work.messages_staged,
+                    threads == 0 ? 0 : messages)
+              << "superstep " << s;
+          EXPECT_EQ(placed_stats->supersteps[s].barrier_work.messages_staged,
+                    messages)
+              << "superstep " << s;
+        }
       }
     }
   }

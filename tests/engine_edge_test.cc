@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <vector>
 
 #include "bsp/engine.h"
 #include "bsp/thread_pool.h"
@@ -235,6 +236,17 @@ TEST(ThreadPoolTest, InlineModeRunsEverything) {
   pool.ParallelFor(100, [&](uint64_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 4950u);
   EXPECT_EQ(pool.num_threads(), 0u);
+}
+
+// An inline engine run folds each combined message into its inbox as it
+// is sent, which is exact only because workers compute in ascending
+// order: the send order then is the delivery order.
+TEST(ThreadPoolTest, InlineModeRunsIndicesInAscendingOrder) {
+  bsp::ThreadPool pool(0);
+  std::vector<uint64_t> order;
+  pool.ParallelFor(100, [&](uint64_t i) { order.push_back(i); });
+  ASSERT_EQ(order.size(), 100u);
+  for (uint64_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, MultiThreadedCoversAllIndicesExactlyOnce) {

@@ -34,6 +34,9 @@
 // (stop at the first failed cell instead of answering them all).
 //
 // Graph files: edge-list text ("src dst [weight]") or PRDG binary.
+//
+// A flag the subcommand does not take, like any malformed flag, is an
+// InvalidArgument line on stderr and exit status 2.
 
 #include <algorithm>
 #include <cerrno>
@@ -72,32 +75,78 @@ using namespace predict;
 struct Flags {
   std::map<std::string, std::string> values;
   std::vector<std::string> config_pairs;  // repeated --config k=v
-  bool ok = true;
-  std::string error;
 };
 
-Flags ParseFlags(int argc, char** argv, int first) {
+using FlagSet = std::set<std::string>;
+
+/// The flags each subcommand reads, by name. The groups are the flag
+/// sets of the shared parsers below (LoadInputGraph, ParseSamplerFlags,
+/// EngineFromFlags, ParseRobustnessFlags).
+const std::map<std::string, FlagSet>& SubcommandFlags() {
+  static const std::map<std::string, FlagSet> table = [] {
+    const FlagSet graph = {"dataset", "graph", "scale"};
+    const FlagSet sampler = {"method", "ratio", "seed", "segment-steps"};
+    const FlagSet engine = {"scenario", "workers", "partition", "path"};
+    const FlagSet robustness = {"failpoints", "retries", "deadline",
+                                "degraded"};
+    const auto join = [](std::initializer_list<FlagSet> groups) {
+      FlagSet all;
+      for (const FlagSet& group : groups) all.insert(group.begin(), group.end());
+      return all;
+    };
+    return std::map<std::string, FlagSet>{
+        {"datasets", {}},
+        {"describe", join({graph, {"threads"}})},
+        {"sample", join({graph, sampler, {"threads"}})},
+        {"run", join({graph, engine, {"algorithm", "config"}})},
+        {"predict",
+         join({graph, sampler, engine, robustness,
+               {"algorithm", "config", "history", "save-history", "verify"}})},
+        {"batch",
+         join({sampler, engine, robustness,
+               {"algorithms", "datasets", "scale", "threads", "history",
+                "fail-fast"}})},
+        {"mutate", join({graph, {"out", "churn", "seed"}})},
+        {"scenarios", {}},
+        {"whatif", join({graph, sampler,
+                         {"algorithm", "config", "scenarios", "threads", "sla",
+                          "confidence"}})},
+        {"history", {"file", "algorithm", "list", "export"}},
+        {"bound", {"epsilon", "damping"}},
+    };
+  }();
+  return table;
+}
+
+/// Parses `--name value`, `--name=value` and the bare boolean flags.
+/// A name outside `known` (the subcommand's flags) is InvalidArgument,
+/// like every other malformed flag.
+Result<Flags> ParseFlags(int argc, char** argv, int first,
+                         const std::string& command, const FlagSet& known) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (!StartsWith(arg, "--")) {
-      flags.ok = false;
-      flags.error = "unexpected argument '" + arg + "'";
-      return flags;
+      return Status::InvalidArgument("unexpected argument '" + arg + "'");
     }
     arg = arg.substr(2);
     std::string value;
     const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
+    const bool inline_value = eq != std::string::npos;
+    if (inline_value) {
       value = arg.substr(eq + 1);
       arg = arg.substr(0, eq);
-    } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
-      value = argv[++i];
-    } else if (arg != "verify" && arg != "list" && arg != "degraded" &&
-               arg != "fail-fast") {
-      flags.ok = false;
-      flags.error = "flag --" + arg + " needs a value";
-      return flags;
+    }
+    if (known.count(arg) == 0) {
+      return Status::InvalidArgument(command + " has no flag --" + arg);
+    }
+    if (!inline_value) {
+      if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
+        value = argv[++i];
+      } else if (arg != "verify" && arg != "list" && arg != "degraded" &&
+                 arg != "fail-fast") {
+        return Status::InvalidArgument("flag --" + arg + " needs a value");
+      }
     }
     if (arg == "config") {
       flags.config_pairs.push_back(value);
@@ -1010,11 +1059,11 @@ int Usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Flags flags = ParseFlags(argc, argv, 2);
-  if (!flags.ok) {
-    std::fprintf(stderr, "%s\n", flags.error.c_str());
-    return 2;
-  }
+  const auto known = SubcommandFlags().find(command);
+  if (known == SubcommandFlags().end()) return Usage();
+  auto parsed = ParseFlags(argc, argv, 2, command, known->second);
+  if (!parsed.ok()) return FlagError(parsed.status());
+  const Flags& flags = *parsed;
   if (command == "datasets") return CmdDatasets();
   if (command == "describe") return CmdDescribe(flags);
   if (command == "sample") return CmdSample(flags);
