@@ -1,10 +1,9 @@
 // Shared plumbing for the per-figure/per-table bench binaries.
 //
 // Every binary regenerates one table or figure of the paper's evaluation
-// (see DESIGN.md §4) and prints paper-style rows. Set PREDICT_BENCH_SCALE
-// in (0,1] to shrink the datasets (and the simulated memory budget
-// proportionally) for quick runs; the default 1.0 reproduces the numbers
-// recorded in EXPERIMENTS.md.
+// and prints paper-style rows. Set PREDICT_BENCH_SCALE in (0,1] to shrink
+// the datasets (and the simulated memory budget proportionally) for
+// quick runs; the default 1.0 runs the full-scale stand-ins.
 
 #ifndef PREDICT_BENCH_BENCH_UTIL_H_
 #define PREDICT_BENCH_BENCH_UTIL_H_

@@ -13,10 +13,13 @@
 
 #include "algorithms/connected_components.h"
 #include "algorithms/pagerank.h"
+#include "algorithms/semiclustering.h"
+#include "algorithms/topk_ranking.h"
 #include "bsp/partition.h"
 #include "common/rng.h"
 #include "core/cost_model.h"
 #include "core/regression.h"
+#include "datasets/datasets.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
@@ -104,6 +107,78 @@ void BM_PageRankSuperstep(benchmark::State& state) {
                           static_cast<int64_t>(BenchGraph().num_edges()));
 }
 BENCHMARK(BM_PageRankSuperstep)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// The paper's two variable-message kernels as a cold request runs them:
+// on the subgraph of a fresh BRJ sample (the predictor's default sampler,
+// ratio 0.1) of the lj stand-in, under the paper's 29-worker deployment.
+// Arg = engine threads (0 = inline, as perfbench's requests run). Items
+// are the messages the run sends.
+const Graph& ColdLjSample() {
+  static const Graph& sample = *new Graph([] {
+    const Graph lj = MakeDataset("lj", 1.0).MoveValue();
+    return SampleGraph(lj, SamplerOptions{}).MoveValue().subgraph;
+  }());
+  return sample;
+}
+
+bsp::EngineOptions SampleRunOptions(int num_threads) {
+  bsp::EngineOptions options = PaperClusterOptions();
+  options.num_threads = num_threads;
+  return options;
+}
+
+template <typename Run>
+void TimeSampleRun(benchmark::State& state, const Run& run) {
+  int64_t messages = 0;
+  for (auto _ : state) {
+    auto stats = run();
+    if (!stats.ok()) {
+      state.SkipWithError("sample run failed");
+      break;
+    }
+    messages = 0;
+    for (const bsp::SuperstepStats& step : stats->supersteps) {
+      messages += static_cast<int64_t>(step.Totals().total_messages());
+    }
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetItemsProcessed(state.iterations() * messages);
+}
+
+// Top-k without its PageRank pre-pass: the input ranks are computed once,
+// outside the timing loop, as RunTopKRanking's pre-pass would.
+void BM_TopKSampleRun(benchmark::State& state) {
+  const bsp::EngineOptions options =
+      SampleRunOptions(static_cast<int>(state.range(0)));
+  static const std::vector<double>& ranks = *new std::vector<double>([] {
+    bsp::EngineOptions pre_pass = SampleRunOptions(0);
+    pre_pass.max_supersteps = 15;  // TopKRankingSpec's rank_iterations
+    pre_pass.memory_budget_bytes = 0;
+    return RunPageRank(ColdLjSample(), {{"tau", 0.0}}, pre_pass)
+        .MoveValue()
+        .ranks;
+  }());
+  TimeSampleRun(state, [&]() -> Result<bsp::RunStats> {
+    PREDICT_ASSIGN_OR_RETURN(TopKResult result,
+                             RunTopKRanking(ColdLjSample(), {}, options, ranks));
+    return std::move(result.stats);
+  });
+}
+BENCHMARK(BM_TopKSampleRun)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+
+void BM_SemiClusteringSampleRun(benchmark::State& state) {
+  const bsp::EngineOptions options =
+      SampleRunOptions(static_cast<int>(state.range(0)));
+  TimeSampleRun(state, [&]() -> Result<bsp::RunStats> {
+    PREDICT_ASSIGN_OR_RETURN(SemiClusteringResult result,
+                             RunSemiClustering(ColdLjSample(), {}, options));
+    return std::move(result.stats);
+  });
+}
+BENCHMARK(BM_SemiClusteringSampleRun)
+    ->Arg(0)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // Owner lookup cost per strategy: the per-message work SendMessage adds
 // on top of the payload copy. Strategy is the benchmark argument

@@ -24,6 +24,9 @@ Result<AlgorithmConfig> ResolveConfig(const AlgorithmSpec& spec,
     }
     config[key] = value;
   }
+  if (spec.check_config != nullptr) {
+    PREDICT_RETURN_NOT_OK(spec.check_config(config));
+  }
   return config;
 }
 

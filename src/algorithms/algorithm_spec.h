@@ -47,10 +47,15 @@ struct AlgorithmSpec {
   /// Which config keys are convergence parameters (Conv in §3.2.2); the
   /// rest are configuration parameters (Conf).
   std::vector<std::string> convergence_keys = {"tau"};
+  /// Optional check of a resolved configuration's values (null: any
+  /// value goes). ResolveConfig runs it, so a value no run accepts fails
+  /// a request's validation, before sampling, instead of its sample run.
+  Status (*check_config)(const AlgorithmConfig& config) = nullptr;
 };
 
 /// Merges `overrides` over `spec.default_config` and validates that every
-/// override key exists in the spec.
+/// override key exists in the spec and that the result passes
+/// `spec.check_config`.
 Result<AlgorithmConfig> ResolveConfig(const AlgorithmSpec& spec,
                                       const AlgorithmConfig& overrides);
 

@@ -19,7 +19,7 @@ double ClusterScore(double internal_weight, double boundary_weight,
 
 // A candidate cluster ranked without copying it: its member list stays
 // where it already lives (a received message, the vertex's own state, or
-// the Compute call's extension pool) and its score is computed once.
+// the worker's extension pool) and its score is computed once.
 struct ClusterHandle {
   std::span<const VertexId> members;  // sorted ascending
   double internal_weight;
@@ -32,9 +32,6 @@ struct ClusterHandle {
   bool operator==(const ClusterHandle& other) const {
     return std::ranges::equal(members, other.members);
   }
-  SemiCluster ToCluster() const {
-    return {{members.begin(), members.end()}, internal_weight, boundary_weight};
-  }
 };
 
 ClusterHandle MakeHandle(std::span<const VertexId> members,
@@ -43,11 +40,6 @@ ClusterHandle MakeHandle(std::span<const VertexId> members,
   return {members, internal_weight, boundary_weight,
           ClusterScore(internal_weight, boundary_weight, members.size(),
                        boundary_factor)};
-}
-
-ClusterHandle HandleOf(const SemiCluster& cluster, double boundary_factor) {
-  return MakeHandle(cluster.members, cluster.internal_weight,
-                    cluster.boundary_weight, boundary_factor);
 }
 
 // Deterministic candidate ordering: score descending, then member list
@@ -64,49 +56,52 @@ void SortUnique(std::vector<ClusterHandle>* handles) {
                  handles->end());
 }
 
-// Sorted snapshot of a vertex's incident edges, built once per Compute
-// call so that extending a cluster costs O(v_max * log deg) instead of
-// O(deg) per candidate (hubs receive thousands of candidates).
+// A vertex's incident edges, read in place from its adjacency row, which
+// the program's precondition keeps sorted and free of duplicates: so
+// extending a cluster costs O(v_max * log deg), not O(deg) per candidate
+// (hubs receive thousands of candidates).
 class IncidentEdges {
  public:
   explicit IncidentEdges(
-      const bsp::VertexContext<SemiClusterValue, SemiClusterMessage>& ctx) {
-    const auto neighbors = ctx.out_neighbors();
-    const bool weighted = ctx.graph_is_weighted();
-    const auto weights =
-        weighted ? ctx.out_weights() : std::span<const float>{};
-    adjacency_.reserve(neighbors.size());
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      const float w = weighted ? weights[i] : 1.0f;
-      adjacency_.emplace_back(neighbors[i], w);
-      total_weight_ += w;
-    }
-    std::sort(adjacency_.begin(), adjacency_.end());
-  }
+      const bsp::VertexContext<SemiClusterValue, SemiClusterMessage>& ctx)
+      : neighbors_(ctx.out_neighbors()),
+        weights_(ctx.graph_is_weighted() ? ctx.out_weights()
+                                         : std::span<const float>{}) {}
 
-  double total_weight() const { return total_weight_; }
+  // Total weight of the incident edges, summed in row order.
+  double TotalWeight() const {
+    if (weights_.empty()) return static_cast<double>(neighbors_.size());
+    double total = 0.0;
+    for (const float w : weights_) total += w;
+    return total;
+  }
 
   // Total edge weight from this vertex to `members`.
   double WeightTo(std::span<const VertexId> members) const {
     double sum = 0.0;
     for (const VertexId m : members) {
-      auto it = std::lower_bound(
-          adjacency_.begin(), adjacency_.end(), m,
-          [](const auto& entry, VertexId v) { return entry.first < v; });
-      while (it != adjacency_.end() && it->first == m) {
-        sum += it->second;
-        ++it;
-      }
+      const auto it =
+          std::lower_bound(neighbors_.begin(), neighbors_.end(), m);
+      if (it == neighbors_.end() || *it != m) continue;
+      sum += weights_.empty() ? 1.0f : weights_[it - neighbors_.begin()];
     }
     return sum;
   }
 
  private:
-  std::vector<std::pair<VertexId, float>> adjacency_;
-  double total_weight_ = 0.0;
+  std::span<const VertexId> neighbors_;
+  std::span<const float> weights_;
 };
 
 }  // namespace
+
+// Compute's working set, kept across calls so that a worker's capacity
+// grows to its largest vertex once instead of being allocated per call.
+struct SemiClusteringProgram::WorkerScratch {
+  std::vector<VertexId> pool;  // the extended clusters' member lists
+  std::vector<ClusterHandle> candidates;
+  std::vector<ClusterHandle> containing;
+};
 
 bool SemiCluster::ContainsVertex(VertexId v) const {
   return std::binary_search(members.begin(), members.end(), v);
@@ -130,13 +125,17 @@ const AlgorithmSpec& SemiClusteringSpec() {
   return spec;
 }
 
-SemiClusteringProgram::SemiClusteringProgram(const AlgorithmConfig& config) {
+SemiClusteringProgram::SemiClusteringProgram(const AlgorithmConfig& config,
+                                             uint32_t num_workers)
+    : scratch_(num_workers) {
   boundary_factor_ = config.at("f_b");
   v_max_ = static_cast<size_t>(config.at("v_max"));
   c_max_ = static_cast<size_t>(config.at("c_max"));
   s_max_ = static_cast<size_t>(config.at("s_max"));
   tau_ = config.at("tau");
 }
+
+SemiClusteringProgram::~SemiClusteringProgram() = default;
 
 void SemiClusteringProgram::RegisterAggregators(
     bsp::AggregatorRegistry* registry) {
@@ -171,66 +170,72 @@ void SemiClusteringProgram::Compute(
     // Send the singleton cluster to all neighbors.
     ctx->Aggregate(total_agg_, static_cast<double>(own.size()));
     if (ctx->out_degree() > 0) {
-      ctx->SendMessageToAllNeighbors(SemiClusterMessage{
-          std::make_shared<const std::vector<SemiCluster>>(own)});
+      ctx->SendMessageToAllNeighbors(SemiClusterMessage::Pack(own));
     }
     return;
   }
 
   // Candidates for forwarding: every received cluster plus the extension
   // of each one by this vertex (when legal). The extensions' member
-  // lists go into one pool, sized up front so the spans into it stay
+  // lists go into the pool, sized up front so the spans into it stay
   // valid.
+  WorkerScratch& scratch = scratch_[ctx->worker()];
   size_t pool_size = 0;
   for (const SemiClusterMessage& msg : messages) {
-    for (const SemiCluster& cluster : *msg.clusters) {
+    msg.ForEachCluster([&](const SemiClusterMessage::View& cluster) {
       pool_size += cluster.members.size() + 1;
-    }
+    });
   }
-  std::vector<VertexId> pool;
+  std::vector<VertexId>& pool = scratch.pool;
+  pool.clear();
   pool.reserve(pool_size);
   const IncidentEdges incident(*ctx);
-  std::vector<ClusterHandle> candidates;
+  const double total = incident.TotalWeight();
+  std::vector<ClusterHandle>& candidates = scratch.candidates;
+  candidates.clear();
   for (const SemiClusterMessage& msg : messages) {
-    for (const SemiCluster& cluster : *msg.clusters) {
-      candidates.push_back(HandleOf(cluster, boundary_factor_));
-      if (!cluster.ContainsVertex(self) && cluster.members.size() < v_max_) {
-        const double to_members = incident.WeightTo(cluster.members);
-        const double total = incident.total_weight();
-        const auto insert_at = std::lower_bound(cluster.members.begin(),
-                                                cluster.members.end(), self);
-        const size_t begin = pool.size();
-        pool.insert(pool.end(), cluster.members.begin(), insert_at);
-        pool.push_back(self);
-        pool.insert(pool.end(), insert_at, cluster.members.end());
-        // Edges from this vertex to members become internal; members'
-        // boundary edges towards this vertex stop being boundary; this
-        // vertex's other incident edges become new boundary edges.
-        candidates.push_back(MakeHandle(
-            {pool.data() + begin, pool.size() - begin},
-            cluster.internal_weight + to_members,
-            cluster.boundary_weight + ((total - to_members) - to_members),
-            boundary_factor_));
+    msg.ForEachCluster([&](const SemiClusterMessage::View& cluster) {
+      const std::span<const VertexId> members = cluster.members;
+      candidates.push_back(MakeHandle(members, cluster.internal_weight,
+                                      cluster.boundary_weight,
+                                      boundary_factor_));
+      const auto insert_at =
+          std::lower_bound(members.begin(), members.end(), self);
+      if (members.size() >= v_max_ ||
+          (insert_at != members.end() && *insert_at == self)) {
+        return;
       }
-    }
+      const double to_members = incident.WeightTo(members);
+      const size_t begin = pool.size();
+      pool.insert(pool.end(), members.begin(), insert_at);
+      pool.push_back(self);
+      pool.insert(pool.end(), insert_at, members.end());
+      // Edges from this vertex to members become internal; members'
+      // boundary edges towards this vertex stop being boundary; this
+      // vertex's other incident edges become new boundary edges.
+      candidates.push_back(MakeHandle(
+          {pool.data() + begin, pool.size() - begin},
+          cluster.internal_weight + to_members,
+          cluster.boundary_weight + ((total - to_members) - to_members),
+          boundary_factor_));
+    });
   }
   SortUnique(&candidates);
 
   // Forward the s_max best known clusters.
   if (!candidates.empty() && ctx->out_degree() > 0) {
-    auto forwarded = std::make_shared<std::vector<SemiCluster>>();
     const size_t count = std::min(s_max_, candidates.size());
-    forwarded->reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      forwarded->push_back(candidates[i].ToCluster());
-    }
-    ctx->SendMessageToAllNeighbors(SemiClusterMessage{std::move(forwarded)});
+    ctx->SendMessageToAllNeighbors(SemiClusterMessage::Pack(
+        std::span<const ClusterHandle>(candidates.data(), count)));
   }
 
   // Update this vertex's list of c_max best clusters containing itself.
-  std::vector<ClusterHandle> containing;
+  std::vector<ClusterHandle>& containing = scratch.containing;
+  containing.clear();
   for (const SemiCluster& cluster : own) {
-    containing.push_back(HandleOf(cluster, boundary_factor_));
+    containing.push_back(MakeHandle(cluster.members, cluster.internal_weight,
+                                    cluster.boundary_weight,
+                                    boundary_factor_));
   }
   for (const ClusterHandle& cluster : candidates) {
     if (cluster.ContainsVertex(self)) containing.push_back(cluster);
@@ -240,19 +245,32 @@ void SemiClusteringProgram::Compute(
 
   // A cluster counts as updated if it was not in the previous list.
   uint64_t updated = 0;
-  std::vector<SemiCluster> kept;
-  kept.reserve(containing.size());
   for (const ClusterHandle& cluster : containing) {
     const bool known = std::any_of(
         own.begin(), own.end(), [&](const SemiCluster& previous) {
           return std::ranges::equal(cluster.members, previous.members);
         });
     if (!known) ++updated;
-    kept.push_back(cluster.ToCluster());
   }
   ctx->Aggregate(updated_agg_, static_cast<double>(updated));
-  ctx->Aggregate(total_agg_, static_cast<double>(kept.size()));
-  own = std::move(kept);
+  ctx->Aggregate(total_agg_, static_cast<double>(containing.size()));
+
+  // Rewrite `own` in place, back to front. A kept cluster that was
+  // already own[j] lands at an index i >= j: each of own[0..j) ranks
+  // above it and survives, or is replaced by an equal member list that
+  // ranks no lower. So own[j] is still intact when it is copied, and a
+  // cluster that stays put (i == j) is not copied at all. Resizing moves
+  // the member vectors, not their buffers, so the spans stay valid.
+  own.resize(containing.size());
+  for (size_t i = containing.size(); i-- > 0;) {
+    const ClusterHandle& kept = containing[i];
+    SemiCluster& slot = own[i];
+    if (kept.members.data() != slot.members.data()) {
+      slot.members.assign(kept.members.begin(), kept.members.end());
+    }
+    slot.internal_weight = kept.internal_weight;
+    slot.boundary_weight = kept.boundary_weight;
+  }
   // Vertices stay active; the master's update-ratio check stops the run.
 }
 
@@ -267,9 +285,9 @@ void SemiClusteringProgram::MasterCompute(bsp::MasterContext* ctx) {
 uint64_t SemiClusteringProgram::MessageBytes(
     const SemiClusterMessage& message) const {
   uint64_t bytes = 8;
-  for (const SemiCluster& cluster : *message.clusters) {
+  message.ForEachCluster([&](const SemiClusterMessage::View& cluster) {
     bytes += 24 + 4 * cluster.members.size();
-  }
+  });
   return bytes;
 }
 
@@ -288,7 +306,7 @@ Result<SemiClusteringResult> RunSemiClustering(
   PREDICT_ASSIGN_OR_RETURN(AlgorithmConfig config,
                            ResolveConfig(SemiClusteringSpec(), overrides));
   PREDICT_ASSIGN_OR_RETURN(Graph undirected, ToUndirected(graph));
-  SemiClusteringProgram program(config);
+  SemiClusteringProgram program(config, engine_options.num_workers);
   bsp::Engine<SemiClusterValue, SemiClusterMessage> engine(engine_options);
   PREDICT_ASSIGN_OR_RETURN(bsp::RunStats stats, engine.Run(undirected, &program));
   SemiClusteringResult result;

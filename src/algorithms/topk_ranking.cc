@@ -1,6 +1,8 @@
 #include "algorithms/topk_ranking.h"
 
 #include <algorithm>
+#include <cassert>
+#include <string>
 
 #include "algorithms/pagerank.h"
 
@@ -28,6 +30,18 @@ bool MergeEntry(std::vector<RankEntry>* list, const RankEntry& entry,
   return true;
 }
 
+// A list's capacity bounds its message (TopKMessage), so a k the message
+// cannot carry is rejected rather than clamped.
+Status CheckTopKConfig(const AlgorithmConfig& config) {
+  const double k = config.at("k");
+  if (!(k >= 1.0 && k <= static_cast<double>(kMaxTopK))) {
+    return Status::InvalidArgument(
+        "topk_ranking: k must be in [1, " + std::to_string(kMaxTopK) +
+        "], got " + std::to_string(k));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const AlgorithmSpec& TopKRankingSpec() {
@@ -37,6 +51,7 @@ const AlgorithmSpec& TopKRankingSpec() {
     s.convergence = ConvergenceKind::kRelativeRatio;
     s.default_config = {{"k", 10}, {"tau", 0.001}, {"rank_iterations", 15}};
     s.convergence_keys = {"tau"};
+    s.check_config = &CheckTopKConfig;
     return s;
   }();
   return spec;
@@ -47,6 +62,7 @@ TopKRankingProgram::TopKRankingProgram(const AlgorithmConfig& config,
     : ranks_(ranks) {
   k_ = static_cast<size_t>(config.at("k"));
   tau_ = config.at("tau");
+  assert(k_ >= 1 && k_ <= kMaxTopK);  // ResolveConfig's CheckTopKConfig
 }
 
 void TopKRankingProgram::RegisterAggregators(
@@ -71,7 +87,9 @@ void TopKRankingProgram::Compute(
     changed = true;  // the initial list is news to the neighbors
   } else {
     for (const TopKMessage& msg : messages) {
-      for (const RankEntry& entry : *msg.entries) {
+      for (uint32_t i = 0; i < msg.count; ++i) {
+        const VertexId origin = msg.origins[i];
+        const RankEntry entry{ranks_[origin], origin};
         // A full list rejects an entry that does not rank strictly above
         // its tail, and stays unchanged. The message's entries come
         // best-first, so MergeEntry would reject every later one too.
@@ -83,11 +101,45 @@ void TopKRankingProgram::Compute(
   if (changed) {
     ctx->Aggregate(updates_agg_, 1.0);
     if (ctx->out_degree() > 0) {
-      ctx->SendMessageToAllNeighbors(
-          TopKMessage{std::make_shared<const std::vector<RankEntry>>(list)});
+      TopKMessage message;
+      message.count = static_cast<uint32_t>(list.size());
+      for (size_t i = 0; i < list.size(); ++i) {
+        message.origins[i] = list[i].origin;
+      }
+      ctx->SendMessageToAllNeighbors(message);
     }
   }
   ctx->VoteToHalt();
+}
+
+void TopKRankingProgram::Combine(TopKMessage& into,
+                                 const TopKMessage& message) const {
+  // Both lists are best-first, so a full `into` whose tail ranks above
+  // the message's best entry already is the top k of the union.
+  if (message.count == 0 ||
+      (into.count == k_ &&
+       !RanksAbove(message.origins[0], into.origins[k_ - 1]))) {
+    return;
+  }
+  // Linear merge, keeping the first k. An origin on both lists has one
+  // rank, so its two copies meet at the heads together; one is kept.
+  TopKMessage merged;
+  uint32_t i = 0;
+  uint32_t j = 0;
+  while (merged.count < k_ && (i < into.count || j < message.count)) {
+    merged.origins[merged.count++] = [&] {
+      if (j == message.count) return into.origins[i++];
+      if (i == into.count) return message.origins[j++];
+      if (into.origins[i] == message.origins[j]) {
+        ++j;
+        return into.origins[i++];
+      }
+      return RanksAbove(into.origins[i], message.origins[j])
+                 ? into.origins[i++]
+                 : message.origins[j++];
+    }();
+  }
+  into = merged;
 }
 
 void TopKRankingProgram::MasterCompute(bsp::MasterContext* ctx) {

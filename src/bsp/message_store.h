@@ -89,10 +89,8 @@ class MessageStore {
 
   /// One (sender, dest) mailbox: append-only storage in fixed-size
   /// chunks. Unlike std::vector, growth never moves existing elements,
-  /// and Clear() keeps both the chunks and the payload elements' own
-  /// heap capacity (message types with heap payloads, e.g.
-  /// semi-clustering's cluster lists, are re-assigned in place next
-  /// superstep). Single-writer; readers only run at phase barriers.
+  /// and Clear() keeps the chunks for the next superstep.
+  /// Single-writer; readers only run at phase barriers.
   /// The hot append is a single predictable branch plus one store.
   class Outbox {
    public:
@@ -107,8 +105,7 @@ class MessageStore {
 
     uint64_t size() const { return size_; }
 
-    /// Logically empties the mailbox; chunk storage (and the payload
-    /// elements' own heap capacity) is retained.
+    /// Logically empties the mailbox; chunk storage is retained.
     void Clear() {
       size_ = 0;
       tail_left_ = 0;

@@ -31,6 +31,11 @@ template <typename V, typename M>
 class VertexContext {
  public:
   VertexId id() const { return id_; }
+  /// The simulated worker computing this vertex. A worker's vertices
+  /// compute on one host thread at a time, so a program may keep scratch
+  /// per worker, sized to EngineOptions::num_workers, and index it by
+  /// this without locking.
+  WorkerId worker() const { return worker_; }
   int superstep() const;
   uint64_t num_vertices() const;
 
@@ -135,10 +140,13 @@ class MasterContext {
 /// each message into its target's inbox when it is sent; a pooled run
 /// folds the staged messages at the barrier. The contract: Compute's
 /// result on the folded inbox must equal its result on the full inbox,
-/// bit for bit, which holds when Compute's own fold over its inbox is
+/// bit for bit. That holds when Compute's own fold over its inbox is
 /// that same left fold (PageRank's sum, connected components' min,
-/// neighborhood's OR). Combine runs concurrently for different
-/// destination workers, so it must only touch its arguments. Nothing
+/// neighborhood's OR), or when Compute depends only on which entries it
+/// received and Combine keeps every entry Compute could use (top-k keeps
+/// the best k of the union). Combine runs concurrently for different
+/// destination workers, so it may touch only its arguments and program
+/// state that no run writes (top-k reads its input ranks). Nothing
 /// simulated moves: counters, message bytes, simulated time and the
 /// memory model are all charged at send time. The hook is deliberately
 /// not virtual — calling Run through a VertexProgram<V, M>* finds no

@@ -4,7 +4,7 @@
 // The real LiveJournal / Wikipedia / Twitter / UK-2002 graphs are 1-25 GB
 // and not redistributable, so each is replaced by a generator
 // configuration that reproduces the property the paper's findings hinge
-// on (see DESIGN.md §2):
+// on:
 //   lj   — social graph whose out-degree is log-normal, NOT power-law
 //          (the paper's explanation for LJ's poor predictability);
 //   wiki — power-law web-ish graph, moderate density;

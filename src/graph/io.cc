@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/strings.h"
 
@@ -12,7 +13,16 @@ namespace predict {
 
 namespace {
 
+Status VertexLimitError(const std::string& what) {
+  return Status::OutOfRange(what + " exceeds the readers' limit of " +
+                            std::to_string(kMaxGraphFileVertices) +
+                            " vertices");
+}
+
 Result<Graph> ParseEdgeLines(std::istream& in, VertexId num_vertices) {
+  if (num_vertices > kMaxGraphFileVertices) {
+    return VertexLimitError("vertex count " + std::to_string(num_vertices));
+  }
   std::vector<Edge> edges;
   VertexId max_id = 0;
   bool saw_vertex = false;
@@ -32,9 +42,8 @@ Result<Graph> ParseEdgeLines(std::istream& in, VertexId num_vertices) {
       return Status::IOError("malformed edge at line " + std::to_string(line_no) +
                              ": '" + std::string(trimmed) + "'");
     }
-    if (src > 0xFFFFFFFFULL || dst > 0xFFFFFFFFULL) {
-      return Status::OutOfRange("vertex id exceeds 32 bits at line " +
-                                std::to_string(line_no));
+    if (src >= kMaxGraphFileVertices || dst >= kMaxGraphFileVertices) {
+      return VertexLimitError("vertex id at line " + std::to_string(line_no));
     }
     edges.push_back({static_cast<VertexId>(src), static_cast<VertexId>(dst),
                      static_cast<float>(n >= 3 ? weight : 1.0)});
@@ -127,8 +136,9 @@ Result<Graph> ReadBinaryGraphFile(const std::string& path) {
       !ReadScalar(in, &weighted)) {
     return Status::IOError("truncated PRDG header in '" + path + "'");
   }
-  if (num_vertices > 0xFFFFFFFFULL) {
-    return Status::OutOfRange("vertex count exceeds 32-bit ids");
+  if (num_vertices > kMaxGraphFileVertices) {
+    return VertexLimitError("PRDG vertex count " +
+                            std::to_string(num_vertices));
   }
   // The edge count sizes the edge list below, so it must fit the bytes
   // the file has left: a corrupt header fails here, not in the allocator.

@@ -285,14 +285,14 @@ TEST(SemiClusteringTest, EveryVertexKeepsAtMostCmaxClustersContainingIt) {
 
 TEST(SemiClusteringTest, MessageBytesGrowWithClusterSize) {
   SemiClusteringProgram program(
-      ResolveConfig(SemiClusteringSpec(), {}).MoveValue());
+      ResolveConfig(SemiClusteringSpec(), {}).MoveValue(), 1);
   SemiCluster small, large;
   small.members = {1};
   large.members = {1, 2, 3, 4, 5};
-  SemiClusterMessage small_msg{
-      std::make_shared<const std::vector<SemiCluster>>(1, small)};
-  SemiClusterMessage large_msg{
-      std::make_shared<const std::vector<SemiCluster>>(1, large)};
+  const SemiClusterMessage small_msg =
+      SemiClusterMessage::Pack(std::vector<SemiCluster>{small});
+  const SemiClusterMessage large_msg =
+      SemiClusterMessage::Pack(std::vector<SemiCluster>{large});
   EXPECT_GT(program.MessageBytes(large_msg), program.MessageBytes(small_msg));
 }
 
@@ -405,6 +405,21 @@ TEST(TopKTest, RejectsWrongRankVectorSize) {
   EXPECT_TRUE(RunTopKRanking(g, {}, FastEngine(), {1.0, 2.0})
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(TopKTest, RejectsCapacityOutsideOneToMax) {
+  const Graph g = GenerateComplete(5).MoveValue();
+  for (const double k : {0.0, static_cast<double>(kMaxTopK) + 1.0}) {
+    SCOPED_TRACE(k);
+    EXPECT_TRUE(
+        RunTopKRanking(g, {{"k", k}}, FastEngine()).status().IsInvalidArgument());
+  }
+  auto full = RunTopKRanking(g, {{"k", static_cast<double>(kMaxTopK)}},
+                             FastEngine());
+  ASSERT_TRUE(full.ok());
+  for (const TopKValue& value : full->lists) {
+    EXPECT_EQ(value.entries.size(), 5u);  // every vertex reaches all five
+  }
 }
 
 TEST(TopKTest, MessageCountDecaysAcrossSupersteps) {

@@ -8,6 +8,10 @@
 // The parallel statistics are additionally checked across thread counts
 // {0, 1, 2, 8}: host threads only accelerate the computation, never
 // change the result (the repo's standing determinism contract).
+//
+// The graph readers, where a cold request's input enters, get a
+// deterministic mutation test: damaged headers must read or fail with a
+// status, never abort.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +19,22 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bsp/thread_pool.h"
 #include "common/rng.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "graph/stats.h"
 #include "graph/transforms.h"
 #include "pipeline/stages.h"
@@ -440,6 +451,127 @@ TEST(ColdPathSamplerKey, NeverTruncatesWideValues) {
   SamplerOptions other = options;
   other.seed = UINT64_MAX - 1;
   EXPECT_NE(SamplerOptionsKey(other), key);
+}
+
+// ===================================================================
+// Graph readers under mutation
+// ===================================================================
+
+// A file name of this process's own: the suite also runs inside the
+// coldpath_equivalence entry, concurrently with the per-test entries.
+std::string MutationPath() {
+  return (std::filesystem::temp_directory_path() /
+          ("predict_mutation_" + std::to_string(::getpid()) + ".prdg"))
+      .string();
+}
+
+std::string PrdgBytes(const Graph& graph, const std::string& path) {
+  EXPECT_TRUE(WriteBinaryGraphFile(graph, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+Result<Graph> ReadPrdgBytes(const std::string& bytes, const std::string& path) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  return ReadBinaryGraphFile(path);
+}
+
+// Every truncation of a valid PRDG header and every header field set to
+// 0, 1 and its maximum (the 64-bit counts also to the largest 32-bit
+// value: |V| = 2^32 - 1 once asked for two 32 GiB offset arrays): each
+// read returns a graph within the vertex limit or an error, and never
+// aborts on an allocation sized from an unchecked field.
+TEST(ColdPathGraphReaders, MutatedPrdgHeadersReadOrFail) {
+  GraphBuilder weighted(4);
+  weighted.AddEdge(0, 1, 2.5f);
+  weighted.AddEdge(1, 2, 0.5f);
+  weighted.AddEdge(3, 0, 1.5f);
+  const Graph bases[] = {GenerateComplete(5).MoveValue(),
+                         weighted.Build().MoveValue(),
+                         GraphBuilder(3).Build().MoveValue()};
+  // magic, version, |V|, |E|, weighted: (offset, width) in the header.
+  constexpr size_t kHeaderBytes = 25;
+  const std::pair<size_t, size_t> fields[] = {
+      {0, 4}, {4, 4}, {8, 8}, {16, 8}, {24, 1}};
+  const std::string path = MutationPath();
+  int reads = 0;
+  int failures = 0;
+  const auto read = [&](const std::string& bytes) {
+    const Result<Graph> graph = ReadPrdgBytes(bytes, path);
+    ++reads;
+    if (!graph.ok()) {
+      ++failures;
+      return;
+    }
+    EXPECT_LE(graph->num_vertices(), kMaxGraphFileVertices);
+  };
+  for (const Graph& base : bases) {
+    const std::string bytes = PrdgBytes(base, path);
+    ASSERT_GE(bytes.size(), kHeaderBytes);
+    ASSERT_TRUE(ReadPrdgBytes(bytes, path).ok());
+    for (size_t cut = 0; cut < kHeaderBytes; ++cut) {
+      SCOPED_TRACE("truncated at " + std::to_string(cut));
+      EXPECT_FALSE(ReadPrdgBytes(bytes.substr(0, cut), path).ok());
+    }
+    for (const auto& [offset, width] : fields) {
+      std::vector<uint64_t> values = {0, 1, UINT32_MAX};
+      if (width == 1) values.back() = UINT8_MAX;
+      if (width == 8) values.push_back(UINT64_MAX);
+      for (const uint64_t value : values) {
+        SCOPED_TRACE("field at " + std::to_string(offset) + " = " +
+                     std::to_string(value));
+        std::string mutated = bytes;
+        std::memcpy(mutated.data() + offset, &value, width);  // little-endian
+        read(mutated);
+      }
+    }
+    // One past the limit fails with the limit's own code.
+    std::string over = bytes;
+    const uint64_t too_many = kMaxGraphFileVertices + 1;
+    std::memcpy(over.data() + 8, &too_many, sizeof(too_many));
+    EXPECT_TRUE(ReadPrdgBytes(over, path).status().IsOutOfRange());
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(reads, 3 * 17);
+  EXPECT_GT(failures, 0);
+  EXPECT_LT(failures, reads);
+}
+
+// The edge-list reader under the same mutations: every truncation of a
+// small valid file, each field of its first edge set to 0, 1 and its
+// maximum (and past it), and the explicit vertex count at 0, 1 and the
+// largest VertexId.
+TEST(ColdPathGraphReaders, MutatedEdgeListsReadOrFail) {
+  const std::string text = "# edges\n0 1 2.5\n1 2\n2 0 0.5\n";
+  const auto check = [](const Result<Graph>& graph) {
+    if (graph.ok()) EXPECT_LE(graph->num_vertices(), kMaxGraphFileVertices);
+  };
+  ASSERT_TRUE(ParseEdgeList(text).ok());
+  for (size_t cut = 0; cut <= text.size(); ++cut) {
+    SCOPED_TRACE("truncated at " + std::to_string(cut));
+    check(ParseEdgeList(text.substr(0, cut)));
+  }
+  const std::string ids[] = {"0",          "1",  "4294967294", "4294967295",
+                             "18446744073709551615", "-1"};
+  const std::string weights[] = {"0", "1", "3.4028235e38", "1e999", "nan"};
+  for (const std::string& src : ids) {
+    for (const std::string& dst : ids) {
+      for (const std::string& weight : weights) {
+        SCOPED_TRACE(src + " " + dst + " " + weight);
+        check(ParseEdgeList("# edges\n" + src + " " + dst + " " + weight +
+                            "\n1 2\n2 0 0.5\n"));
+      }
+    }
+  }
+  EXPECT_TRUE(ParseEdgeList("0 4294967295\n").status().IsOutOfRange());
+  for (const VertexId count : {VertexId{0}, VertexId{1}, VertexId{4294967295u}}) {
+    SCOPED_TRACE(count);
+    check(ParseEdgeList(text, count));
+  }
+  EXPECT_TRUE(ParseEdgeList(text, 4294967295u).status().IsOutOfRange());
 }
 
 }  // namespace

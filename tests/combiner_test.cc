@@ -4,22 +4,26 @@
 // per messaged vertex, folded in delivery order (as each message is sent
 // on an inline run, at the barrier on a pooled one); run through the
 // VertexProgram<V, M> base pointer, the same program gets every message
-// placed. The combiner contract says Compute's fold over its inbox
-// equals the left fold of Combine, and every counter is charged at send
-// time, so the two runs must agree on every final value and the whole
-// run fingerprint, for every superstep path, host thread count and
-// partitioner. The counted barrier work is where they differ: the
-// messages staged through an outbox, checked across that matrix, and
-// the payload slots written, pinned by one test.
+// placed. The combiner contract says Compute's result on the folded
+// inbox equals its result on the full one, and every counter is charged
+// at send time, so the two runs must agree on every final value and the
+// whole run fingerprint, for every superstep path, host thread count and
+// partitioner. Five programs combine: PageRank, RWR, connected
+// components, neighborhood and top-k. The counted barrier work is where
+// the runs differ: the messages staged through an outbox, checked across
+// that matrix, and the payload slots written, pinned for PageRank and
+// top-k.
 //
 // The kernel goldens pin semi-clustering's and top-k's final values.
 // Semi-clustering ranks its candidates through handles instead of
-// copies, and top-k stops merging a message once no later entry can
-// enter the list. Both are pure host-time optimisations, so the final
-// clusters (members plus the bit patterns of both weights), the final
-// top-k lists (rank bits plus origins) and the full run fingerprint must
-// equal the constants below, which were captured from the copying
-// selection and the exhaustive merge.
+// copies, in reused scratch and with its adjacency searched in place;
+// top-k stops merging a message once no later entry can enter the list,
+// and folds origin-only lists on send. All are pure host-time
+// optimisations, so the final clusters (members plus the bit patterns of
+// both weights), the final top-k lists (rank bits plus origins) and the
+// full run fingerprint must equal the constants below, which were
+// captured from the copying selection, the exhaustive merge and, for
+// k = kMaxTopK, the uncombined shared-list messages.
 
 #include <gtest/gtest.h>
 
@@ -94,16 +98,42 @@ std::vector<const Graph*> EquivalenceGraphs() {
           &SampledStandIn()};
 }
 
+uint64_t FingerprintTopK(const std::vector<TopKValue>& lists, uint64_t h) {
+  for (const TopKValue& list : lists) {
+    h = FnvMix(h, list.entries.size());
+    for (const RankEntry& entry : list.entries) {
+      h = FnvMixDouble(h, entry.rank);
+      h = FnvMix(h, entry.origin);
+    }
+  }
+  return h;
+}
+
+// The final values' digest: the bytes of flat values, and the entries of
+// top-k lists, whose vectors hold their entries on the heap.
 template <typename T>
-uint64_t FingerprintBytes(const std::vector<T>& values) {
+uint64_t FingerprintValues(const std::vector<T>& values) {
   return testing::FnvMixBytes(testing::kFnvOffsetBasis, values.data(),
                               values.size() * sizeof(T));
+}
+uint64_t FingerprintValues(const std::vector<TopKValue>& lists) {
+  return FingerprintTopK(lists, testing::kFnvOffsetBasis);
+}
+
+// The input ranks RunTopKRanking's PageRank pre-pass computes.
+std::vector<double> TopKInputRanks(const Graph& graph,
+                                   const AlgorithmConfig& config) {
+  EngineOptions options;
+  options.num_workers = 29;
+  options.num_threads = 0;
+  options.max_supersteps = static_cast<int>(config.at("rank_iterations"));
+  return RunPageRank(graph, {{"tau", 0.0}}, options).MoveValue().ranks;
 }
 
 // Runs a fresh program from `make` through its concrete type (combined)
 // and through the base pointer (every message placed) across paths x
 // host threads x partitioners; both runs must agree on the run
-// fingerprint and on the bytes of every final vertex value.
+// fingerprint and on every final vertex value.
 template <typename V, typename M, typename Make>
 void ExpectCombinerTransparent(const Graph& graph, const Make& make) {
   for (const SuperstepPath path :
@@ -133,8 +163,8 @@ void ExpectCombinerTransparent(const Graph& graph, const Make& make) {
         ASSERT_TRUE(placed_stats.ok());
         EXPECT_EQ(FingerprintRunStats(*combined_stats),
                   FingerprintRunStats(*placed_stats));
-        EXPECT_EQ(FingerprintBytes(combined.vertex_values()),
-                  FingerprintBytes(placed.vertex_values()));
+        EXPECT_EQ(FingerprintValues(combined.vertex_values()),
+                  FingerprintValues(placed.vertex_values()));
         // Each barrier drains what its superstep sent: an inline combined
         // run folds every message as it is sent and stages none, a pooled
         // or placed run stages every one.
@@ -190,6 +220,50 @@ TEST(CombinerTest, NeighborhoodCombinedMatchesUncombined) {
     ExpectCombinerTransparent<NeighborhoodValue, NeighborhoodMessage>(
         undirected, [&] { return NeighborhoodProgram(config); });
   }
+}
+
+TEST(CombinerTest, TopKCombinedMatchesUncombined) {
+  for (const double k : {3.0, 10.0}) {
+    SCOPED_TRACE(k);
+    const AlgorithmConfig config =
+        ResolveConfig(TopKRankingSpec(), {{"k", k}}).MoveValue();
+    for (const Graph* graph : EquivalenceGraphs()) {
+      const std::vector<double> ranks = TopKInputRanks(*graph, config);
+      ExpectCombinerTransparent<TopKValue, TopKMessage>(
+          *graph, [&] { return TopKRankingProgram(config, ranks); });
+    }
+  }
+}
+
+// Top-k's saving, as a count: every vertex votes to halt, so a sparse
+// superstep's worklist is exactly the vertices messaged before it. An
+// inline run stages no message and writes one payload slot per messaged
+// vertex, where the placed run writes one per message.
+TEST(CombinerTest, InlineTopKWritesOneSlotPerMessagedVertex) {
+  const Graph& graph = SampledStandIn();
+  const AlgorithmConfig config =
+      ResolveConfig(TopKRankingSpec(), {}).MoveValue();
+  const std::vector<double> ranks = TopKInputRanks(graph, config);
+  EngineOptions options;
+  options.num_workers = 29;
+  options.num_threads = 0;
+  options.superstep_path = SuperstepPath::kSparse;
+  TopKRankingProgram program(config, ranks);
+  Engine<TopKValue, TopKMessage> engine(options);
+  auto stats = engine.Run(graph, &program);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_GT(stats->num_supersteps(), 2);
+  uint64_t slots = 0;
+  uint64_t messages = 0;
+  for (const bsp::SuperstepStats& step : stats->supersteps) {
+    SCOPED_TRACE(step.superstep);
+    EXPECT_EQ(step.barrier_work.messages_staged, 0u);
+    EXPECT_EQ(step.barrier_work.payload_slots,
+              step.barrier_work.worklist_entries);
+    slots += step.barrier_work.payload_slots;
+    messages += step.Totals().total_messages();
+  }
+  EXPECT_LT(slots, messages);
 }
 
 // The saving, as a count: every PageRank vertex with an out-edge sends
@@ -256,17 +330,6 @@ uint64_t FingerprintClusters(const std::vector<SemiClusterValue>& values,
   return h;
 }
 
-uint64_t FingerprintTopK(const std::vector<TopKValue>& lists, uint64_t h) {
-  for (const TopKValue& list : lists) {
-    h = FnvMix(h, list.entries.size());
-    for (const RankEntry& entry : list.entries) {
-      h = FnvMixDouble(h, entry.rank);
-      h = FnvMix(h, entry.origin);
-    }
-  }
-  return h;
-}
-
 struct KernelGolden {
   const char* graph;
   const char* config;
@@ -310,10 +373,10 @@ TEST(KernelGoldenTest, TopKFinalLists) {
       {"pr", "k3", 0xcf8eee25de6f3452ull},
       {"sampled", "k10", 0x6939ad84e1f004acull},
       {"sampled", "k3", 0x4872d4273d3c5621ull},
+      {"sampled", "k16", 0x300db85b315f798eull},  // k = kMaxTopK
   };
   for (const KernelGolden& golden : goldens) {
-    const AlgorithmConfig config = {
-        {"k", std::string(golden.config) == "k10" ? 10.0 : 3.0}};
+    const AlgorithmConfig config = {{"k", std::stod(golden.config + 1)}};
     for (const int threads : {0, 2}) {
       SCOPED_TRACE(std::string(golden.graph) + " " + golden.config +
                    " threads=" + std::to_string(threads));

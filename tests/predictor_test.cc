@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "algorithms/runner.h"
+#include "algorithms/topk_ranking.h"
 #include "core/predictor.h"
 #include "core/sla.h"
 #include "graph/generators.h"
@@ -351,6 +352,21 @@ TEST(PredictorTest, BadOverrideKeyFails) {
   EXPECT_TRUE(predictor.PredictRuntime("pagerank", g, "", {{"zzz", 1.0}})
                   .status()
                   .IsInvalidArgument());
+}
+
+// A top-k list capacity no message can carry fails validation, before
+// sampling, so even a request that may degrade fails instead.
+TEST(PredictorTest, TopKCapacityOutsideRangeFails) {
+  const Graph g = TestGraph(1000, 85);
+  PredictorOptions options = TestOptions();
+  options.robustness.degraded_fallbacks = true;
+  Predictor predictor(options);
+  for (const double k : {0.0, static_cast<double>(kMaxTopK) + 1.0}) {
+    SCOPED_TRACE(k);
+    EXPECT_TRUE(predictor.PredictRuntime("topk_ranking", g, "", {{"k", k}})
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 TEST(PredictorTest, EmptyGraphFails) {

@@ -9,8 +9,7 @@
 //                         [--config k=v]... [--workers N]
 //   predict_cli predict   --algorithm A (--dataset NAME | --graph FILE)
 //                         [--ratio R] [--config k=v]... [--workers N]
-//                         [--history FILE] [--save-history FILE]
-//                         [--verify]
+//                         [--history FILE] [--verify [--save-history FILE]]
 //   predict_cli batch     --algorithms A,B,... --datasets N1,N2,...
 //                         [--ratio R] [--method BRJ|RJ|MHRW|FF] [--seed N]
 //                         [--scale S] [--workers N] [--threads T]
@@ -476,6 +475,13 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdPredict(const Flags& flags) {
+  // The saved profile is the verification's actual run, so without
+  // --verify there is nothing to save.
+  if (flags.values.count("save-history") != 0 &&
+      flags.values.count("verify") == 0) {
+    return FlagError(
+        Status::InvalidArgument("--save-history needs --verify"));
+  }
   auto graph = LoadInputGraph(flags);
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
@@ -1030,7 +1036,7 @@ int Usage() {
       "  sample     (--dataset N | --graph F) [--ratio R] [--method BRJ|RJ|MHRW|FF]\n"
       "  run        --algorithm A (--dataset N | --graph F) [--config k=v]...\n"
       "  predict    --algorithm A (--dataset N | --graph F) [--ratio R]\n"
-      "             [--config k=v]... [--history F] [--verify] [--save-history F]\n"
+      "             [--config k=v]... [--history F] [--verify [--save-history F]]\n"
       "  batch      --algorithms A,B,... --datasets N1,N2,... [--ratio R]\n"
       "             [--threads T] [--workers N] [--scale S] [--history F]\n"
       "             [--fail-fast]\n"
