@@ -4,8 +4,10 @@
 // across commits without scraping stdout. Each gate calls BenchJson to
 // mirror its key metrics and verdict into a flat JSON object written to
 // BENCH_<name>.json in the working directory (override the directory
-// with PREDICT_BENCH_JSON_DIR). Writing is best-effort: a read-only
-// working directory must not fail a gate whose measurements passed.
+// with PREDICT_BENCH_JSON_DIR), led by the host it ran on: `cores`,
+// `build_type` and `compiler`, so numbers from two hosts can be told
+// apart. Writing is best-effort: a read-only working directory must not
+// fail a gate whose measurements passed.
 
 #ifndef PREDICT_BENCH_BENCH_JSON_H_
 #define PREDICT_BENCH_BENCH_JSON_H_
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,7 +63,11 @@ class BenchJson {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(out, "{\n");
+    std::fprintf(out,
+                 "{\n  \"cores\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"compiler\": \"%s\"%s\n",
+                 std::thread::hardware_concurrency(), PREDICT_BENCH_BUILD_TYPE,
+                 PREDICT_BENCH_COMPILER, entries_.empty() ? "" : ",");
     for (size_t i = 0; i < entries_.size(); ++i) {
       std::fprintf(out, "  \"%s\": %s%s\n", entries_[i].first.c_str(),
                    entries_[i].second.c_str(),

@@ -33,6 +33,7 @@
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "graph/transforms.h"
+#include "panel.h"
 #include "sampling/sampler.h"
 #include "tests/coldpath_reference.h"
 
@@ -167,13 +168,8 @@ bool Identical(const PathResult& a, const PathResult& b) {
 }  // namespace
 
 int main() {
-  double scale = 1.0;
-  if (const char* env = std::getenv("PREDICT_BENCH_SCALE")) {
-    const double parsed = std::atof(env);
-    if (parsed > 0.0 && parsed <= 1.0) scale = parsed;
-  }
-  const auto num_vertices =
-      static_cast<VertexId>(std::max(2000.0, 120000.0 * scale));
+  const auto num_vertices = static_cast<VertexId>(
+      std::max(2000.0, 120000.0 * panel::BenchScale()));
 
   std::printf("== cold_path: sample -> extract -> characterize ==\n");
   std::printf("dataset: preferential attachment, |V|=%u, out_degree=8\n",

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "core/predictor.h"
 #include "graph/generators.h"
 #include "service/prediction_service.h"
@@ -29,9 +28,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main() {
-  using predict::benchutil::PrintBanner;
-  PrintBanner("Service throughput: PredictBatch warm/cold vs sequential",
-              "PREDIcT as a concurrent what-if service");
+  std::printf(
+      "== service_throughput: PredictBatch warm/cold vs sequential ==\n");
 
   // Two datasets x 4 algorithms = the 8-request batch.
   const Graph g1 =

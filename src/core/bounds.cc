@@ -14,8 +14,4 @@ Result<double> PageRankIterationUpperBound(double epsilon, double damping) {
   return std::log10(epsilon) / std::log10(damping);
 }
 
-double ConnectedComponentsIterationUpperBound(uint64_t num_vertices) {
-  return static_cast<double>(num_vertices);
-}
-
 }  // namespace predict

@@ -1,10 +1,11 @@
-// Analytical upper bounds for iteration counts (§5.1 "Upper Bound
-// Estimates").
+// An analytical upper bound for PageRank's iteration count (§5.1 "Upper
+// Bound Estimates").
 //
 // The paper contrasts PREDIcT with the closed-form PageRank bound of
 // Langville & Meyer:  #iterations = log10(eps) / log10(d),  which
-// ignores the input graph entirely and over-predicts by 2x-3.5x. These
-// bounds exist so the benches can reproduce that comparison.
+// ignores the input graph entirely and over-predicts by 2x-3.5x. The
+// bound serves paper_panel's sec51 view, which reproduces that
+// comparison, and `predict_cli bound`.
 
 #ifndef PREDICT_CORE_BOUNDS_H_
 #define PREDICT_CORE_BOUNDS_H_
@@ -16,11 +17,6 @@ namespace predict {
 /// Langville–Meyer bound on PageRank iterations for tolerance `epsilon`
 /// and damping factor `d`.
 Result<double> PageRankIterationUpperBound(double epsilon, double damping);
-
-/// Trivial bound for label propagation (connected components): the
-/// number of iterations is at most the graph diameter + 1; with no
-/// diameter knowledge the only safe a-priori bound is |V|.
-double ConnectedComponentsIterationUpperBound(uint64_t num_vertices);
 
 }  // namespace predict
 

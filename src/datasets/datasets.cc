@@ -86,7 +86,7 @@ std::vector<std::string> ScaleDatasetNames() {
 }
 
 Result<Graph> MakeDataset(const std::string& name, double scale) {
-  if (scale <= 0.0 || scale > 1.0) {
+  if (!(scale > 0.0 && scale <= 1.0)) {  // written so NaN fails too
     return Status::InvalidArgument("scale must be in (0, 1]");
   }
   if (name == "lj") {

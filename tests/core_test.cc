@@ -502,9 +502,5 @@ TEST(BoundsTest, RejectsOutOfRangeParameters) {
   EXPECT_FALSE(PageRankIterationUpperBound(0.01, 1.0).ok());
 }
 
-TEST(BoundsTest, CcBoundIsVertexCount) {
-  EXPECT_DOUBLE_EQ(ConnectedComponentsIterationUpperBound(1234), 1234.0);
-}
-
 }  // namespace
 }  // namespace predict

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "algorithms/runner.h"
 #include "datasets/datasets.h"
 #include "graph/stats.h"
@@ -27,6 +29,7 @@ TEST(DatasetsTest, UnknownNameIsNotFound) {
 TEST(DatasetsTest, BadScaleRejected) {
   EXPECT_TRUE(MakeDataset("lj", 0.0).status().IsInvalidArgument());
   EXPECT_TRUE(MakeDataset("lj", 2.0).status().IsInvalidArgument());
+  EXPECT_TRUE(MakeDataset("lj", std::nan("")).status().IsInvalidArgument());
 }
 
 TEST(DatasetsTest, ScaleShrinksVertexCount) {

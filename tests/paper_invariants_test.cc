@@ -1,8 +1,9 @@
 // Integration tests of the paper's headline claims, at reduced dataset
-// scale. Where Figures 4-9 sweep and print, these tests *assert* — so a
-// regression in any stage of the pipeline (sampling bias, transform
-// rule, extrapolation, cost model) fails CI instead of silently bending
-// a curve.
+// scale. paper_panel's views sweep Figures 4-9 and check the claims that
+// hold at every scale; these tests assert invariants of single requests
+// at their own scale and budget — so a regression in any stage of the
+// pipeline (sampling bias, transform rule, extrapolation, cost model)
+// fails CI instead of silently bending a curve.
 
 #include <gtest/gtest.h>
 
